@@ -73,17 +73,14 @@ ScrubCampaignResult run_scrub_campaign(const ScrubCampaignPlan& plan,
   return result;
 }
 
-namespace {
-
-/// Shared body of the serial and JIT-backed per-replica runners: the engine
-/// differs, the replica loop and draw sequence do not.
-NetlistSeuResult run_netlist_seu_campaign_scalar(const hw::Module& module,
-                                                 const NetlistSeuPlan& plan,
-                                                 ThreadPool* pool,
-                                                 hw::SimOptions options) {
+NetlistSeuResult run_netlist_seu_campaign(const hw::Module& module,
+                                          const NetlistSeuPlan& plan,
+                                          ThreadPool* pool,
+                                          hw::SimBackend engine) {
   NetlistSeuResult result;
   result.per_replica.assign(plan.replicas, NetlistSeuOutcome{});
 
+  const hw::SimOptions options{.backend = engine};
   const auto run_replica = [&](std::size_t replica) {
     hw::Simulator golden(module, options);
     hw::Simulator faulty(module, options);
@@ -140,23 +137,6 @@ NetlistSeuResult run_netlist_seu_campaign_scalar(const hw::Module& module,
     if (outcome.diverged) ++result.diverged;
   }
   return result;
-}
-
-}  // namespace
-
-NetlistSeuResult run_netlist_seu_campaign(const hw::Module& module,
-                                          const NetlistSeuPlan& plan,
-                                          ThreadPool* pool) {
-  return run_netlist_seu_campaign_scalar(module, plan, pool, hw::SimOptions{});
-}
-
-NetlistSeuResult run_netlist_seu_campaign_jit(const hw::Module& module,
-                                              const NetlistSeuPlan& plan,
-                                              ThreadPool* pool) {
-  // All replicas share one cached kernel (the module digest is identical),
-  // so the per-replica compile cost is paid exactly once per process.
-  return run_netlist_seu_campaign_scalar(
-      module, plan, pool, hw::SimOptions{.backend = hw::SimBackend::kJit});
 }
 
 NetlistSeuResult run_netlist_seu_campaign_sliced(const hw::Module& module,

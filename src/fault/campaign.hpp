@@ -16,6 +16,7 @@
 #include "common/threadpool.hpp"
 #include "fault/scrub_memory.hpp"
 #include "hw/netlist.hpp"
+#include "hw/sim.hpp"
 
 namespace hermes::fault {
 
@@ -72,19 +73,17 @@ struct NetlistSeuResult {
 /// Runs the plan against `module` on `pool` (nullptr = process-wide pool).
 /// Each task owns its two Simulator replicas; deterministic per-replica
 /// seeds keep the result independent of the worker count.
-NetlistSeuResult run_netlist_seu_campaign(const hw::Module& module,
-                                          const NetlistSeuPlan& plan,
-                                          ThreadPool* pool = nullptr);
-
-/// JIT-backed variant of run_netlist_seu_campaign: every replica pair runs on
-/// hw::SimBackend::kJit simulators. Because all replicas share one module
-/// digest, the process-wide jit::KernelCache compiles once and every replica
-/// reuses the kernel. Results are bit-identical to the serial runner for any
-/// worker count — and on hosts without JIT support the backend degrades to
-/// the interpreter, so this is always safe to call.
-NetlistSeuResult run_netlist_seu_campaign_jit(const hw::Module& module,
-                                              const NetlistSeuPlan& plan,
-                                              ThreadPool* pool = nullptr);
+///
+/// `engine` picks the replicas' simulator backend. The default, the event
+/// interpreter, is the ground-truth oracle the sliced runner, the JIT soak
+/// and the benchmarks compare against. With hw::SimBackend::kJit every
+/// replica shares one kernel from the process-wide jit::KernelCache (all
+/// replicas have the same module digest, so it compiles once); results are
+/// bit-identical for any engine and worker count, and on hosts without JIT
+/// support the backend degrades to the interpreter.
+NetlistSeuResult run_netlist_seu_campaign(
+    const hw::Module& module, const NetlistSeuPlan& plan,
+    ThreadPool* pool = nullptr, hw::SimBackend engine = hw::SimBackend::kEvent);
 
 /// Bit-sliced variant of run_netlist_seu_campaign: replicas are grouped into
 /// batches of 63 (seu.hpp batch math), each batch runs on one

@@ -7,26 +7,30 @@
 // commit on the clock edge.
 //
 // Three engines share one compiled representation (see docs/SIMULATOR.md):
-//  * event-driven (default): at construction the cells are flattened into a
-//    contiguous op table with pre-resolved wire ids, cached widths and
-//    truncation masks, each comb op is assigned a topological level (the
-//    table is sorted so a level's ops are contiguous), and per-wire fanout
-//    lists are built. A settle then only re-evaluates the cells reachable
-//    from wires that actually changed (inputs, corrupted wires, committed
-//    registers / RAM samples), drained level by level so every cell runs at
-//    most once per delta. A level whose scheduled count reaches its op count
-//    is swept directly — dense toggling pays no worklist bookkeeping.
+//  * JIT (SimBackend::kJit, the default): each topological level — plus the
+//    full-sweep step and the sequential cone — is lowered through a small
+//    machine-IR to straight-line native x86-64 code operating directly on
+//    this simulator's wire value array (src/hw/jit/). Compiled kernels are
+//    shared process-wide through a content-addressed jit::KernelCache keyed
+//    by Module::digest(). On non-x86-64 hosts, W^X-denied environments, a
+//    compile failure, or HERMES_DISABLE_JIT=1 the constructor silently falls
+//    back to the event-driven interpreter; results are bit-identical either
+//    way, and active_backend() reports which engine runs.
+//  * event-driven interpreter (SimBackend::kEvent): the fallback, and the
+//    oracle wherever one simulator checks another (the serial SEU campaign
+//    runner) or only supplies tables (SlicedSimulator). At construction the
+//    cells are flattened into a contiguous op table with pre-resolved wire
+//    ids, cached widths and truncation masks, each comb op is assigned a
+//    topological level (the table is sorted so a level's ops are
+//    contiguous), and per-wire fanout lists are built. A settle then only
+//    re-evaluates the cells reachable from wires that actually changed
+//    (inputs, corrupted wires, committed registers / RAM samples), drained
+//    level by level so every cell runs at most once per delta. A level whose
+//    scheduled count reaches its op count is swept directly — dense toggling
+//    pays no worklist bookkeeping.
 //  * full-sweep oracle (SimBackend::kSweep): re-evaluates the whole op table
 //    in topological order per settle. Kept as the differential-testing
 //    reference; all engines are bit-identical.
-//  * JIT (SimBackend::kJit): each topological level — plus the full-sweep
-//    step — is lowered through a small machine-IR to straight-line native
-//    x86-64 code operating directly on this simulator's wire value array
-//    (src/hw/jit/). Compiled kernels are shared process-wide through a
-//    content-addressed jit::KernelCache keyed by Module::digest(). On
-//    non-x86-64 hosts, W^X-denied environments, or HERMES_DISABLE_JIT=1 the
-//    constructor silently falls back to the event-driven interpreter;
-//    results are bit-identical either way.
 #pragma once
 
 #include <cstdint>
@@ -45,15 +49,16 @@ namespace jit {
 class JitKernel;
 }
 
-/// Engine selection. The event-driven engine is the default; the full-sweep
-/// path is retained as the oracle for differential testing; the JIT backend
-/// degrades to kEvent when native execution is unavailable.
+/// Engine selection. The JIT backend is the default and degrades to kEvent
+/// when native execution is unavailable; pin kEvent where a simulator is the
+/// interpreter oracle. The full-sweep path is retained as the oracle for
+/// differential testing.
 enum class SimBackend : std::uint8_t { kEvent, kSweep, kJit };
 
 const char* to_string(SimBackend backend);
 
 struct SimOptions {
-  SimBackend backend = SimBackend::kEvent;
+  SimBackend backend = SimBackend::kJit;
 };
 
 /// Sentinel "no combinational op" index (undriven / sequential wires).

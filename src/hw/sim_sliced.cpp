@@ -20,8 +20,10 @@ constexpr std::uint64_t golden_of(std::uint64_t word) { return spread(word); }
 
 }  // namespace
 
+// base_ only lends its op table and schedule; pinning the interpreter keeps
+// it from taking a kernel-cache lookup and a JIT settle it never uses.
 SlicedSimulator::SlicedSimulator(const Module& module)
-    : base_(module, SimOptions{}) {
+    : base_(module, SimOptions{.backend = SimBackend::kEvent}) {
   if (!status().ok()) return;
   build_lanes();
   reset();

@@ -2,11 +2,12 @@
 // backend and fingerprint-checked against the serial interpreter oracle.
 //
 // Every plan runs three times — once on the interpreter (the oracle), twice
-// on run_netlist_seu_campaign_jit — and all three fault::fingerprint values
-// must agree. Plan modules come from the shared random-netlist generator, so
-// the soak sweeps the same edge-width/shift/division/RAM-collision corners
-// as the differential fuzz, but through the full campaign machinery: many
-// Simulator replicas sharing one cached kernel across ThreadPool workers.
+// on the JIT backend (run_netlist_seu_campaign with hw::SimBackend::kJit) —
+// and all three fault::fingerprint values must agree. Plan modules come from
+// the shared random-netlist generator, so the soak sweeps the same
+// edge-width/shift/division/RAM-collision corners as the differential fuzz,
+// but through the full campaign machinery: many Simulator replicas sharing
+// one cached kernel across ThreadPool workers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -47,8 +48,9 @@ NetlistSeuPlan make_plan(std::uint64_t seed) {
 std::uint64_t run_once(const hw::Module& module, const NetlistSeuPlan& plan,
                        std::uint64_t seed, bool jit) {
   const NetlistSeuResult result =
-      jit ? run_netlist_seu_campaign_jit(module, plan)
-          : run_netlist_seu_campaign(module, plan);
+      run_netlist_seu_campaign(module, plan, nullptr,
+                               jit ? hw::SimBackend::kJit
+                                   : hw::SimBackend::kEvent);
   std::uint64_t hash = kFnvBasis;
   hash = mix(hash, seed);
   hash = mix(hash, fingerprint(result));

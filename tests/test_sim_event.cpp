@@ -1,8 +1,8 @@
 // Differential tests across every simulator engine, plus the determinism
 // contract of the parallel campaign / characterization runners.
 //
-// The event-driven engine (default), the full-sweep oracle, the JIT backend
-// and lane 0 of the bit-sliced engine share one compiled op table but
+// The event-driven interpreter, the full-sweep oracle, the JIT backend (the
+// default) and lane 0 of the bit-sliced engine share one compiled op table but
 // disagree-prone machinery (fanout scheduling, level draining, native
 // codegen, slice transposition). The randomized test drives all four engines
 // on generated netlists — random inputs, corrupt_wire injections, RAM

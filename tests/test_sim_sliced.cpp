@@ -80,7 +80,8 @@ TEST(SimSlicedDifferential, RandomNetlistsMatchScalarTwinsPerLane) {
     std::vector<Simulator> twins;
     twins.reserve(kTrackedCount);
     for (std::size_t t = 0; t < kTrackedCount; ++t) {
-      twins.emplace_back(design.module, SimOptions{});
+      twins.emplace_back(design.module,
+                         SimOptions{.backend = SimBackend::kEvent});
       ASSERT_TRUE(twins.back().status().ok());
     }
     expect_lanes_match_twins(sliced, twins, design, trial, -1);
@@ -149,7 +150,7 @@ TEST(SimSlicedDifferential, HlsAcceleratorFaultyLanesMatchScalar) {
   ASSERT_TRUE(sliced.status().ok());
   std::vector<Simulator> twins;
   for (std::size_t t = 0; t < kTrackedCount; ++t) {
-    twins.emplace_back(module, SimOptions{});
+    twins.emplace_back(module, SimOptions{.backend = SimBackend::kEvent});
     ASSERT_TRUE(twins.back().status().ok());
   }
   for (std::size_t i = 0; i < 16; ++i) {
