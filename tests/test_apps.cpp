@@ -16,6 +16,11 @@
 #include "hls/testbench.hpp"
 
 namespace hermes::apps {
+
+// gtest's default printer dumps a parameter's raw bytes, pointers included,
+// so the discovered ctest name would change from run to run.
+void PrintTo(const KernelSpec& spec, std::ostream* os) { *os << spec.name; }
+
 namespace {
 
 // ---- HLS kernels, parameterized over the whole catalog ----

@@ -180,6 +180,10 @@ struct PassCase {
   std::vector<std::vector<std::uint64_t>> memories;  // by memory index
 };
 
+// Print the case name, not gtest's raw-byte dump: the pointers in it would
+// make the discovered ctest name change from run to run.
+void PrintTo(const PassCase& c, std::ostream* os) { *os << c.name; }
+
 class PassPreservation : public ::testing::TestWithParam<PassCase> {};
 
 TEST_P(PassPreservation, OptimizedMatchesUnoptimized) {
