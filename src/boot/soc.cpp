@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/backoff.hpp"
+#include "common/hash.hpp"
 #include "common/strings.hpp"
 
 namespace hermes::boot {
@@ -312,21 +313,17 @@ std::uint64_t Soc::scrub_efpga() {
 }
 
 std::uint64_t Soc::efpga_config_digest() const {
-  std::uint64_t hash = 14695981039346656037ULL;
-  const auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ULL;
-  };
-  if (!efpga_config_) return hash;
+  Fnv64 hash;
+  if (!efpga_config_) return hash.digest();
   for (const EfpgaFrameDir& frame : efpga_dir_) {
-    mix(frame.column);
-    mix(frame.words);
-    mix(frame.crc);
+    hash.word(frame.column);
+    hash.word(frame.words);
+    hash.word(frame.crc);
     for (std::size_t w = 0; w < frame.words; ++w) {
-      mix(efpga_config_->read(frame.offset + w));
+      hash.word(efpga_config_->read(frame.offset + w));
     }
   }
-  return hash;
+  return hash.digest();
 }
 
 }  // namespace hermes::boot

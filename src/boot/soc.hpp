@@ -151,8 +151,8 @@ class Soc {
 
   [[nodiscard]] const EfpgaStats& efpga_stats() const { return efpga_stats_; }
 
-  /// FNV-1a fingerprint of the decoded configuration words (frame directory
-  /// included) — the chaos soak compares it against the staged bitstream to
+  /// FNV-1a fingerprint (Fnv64::word per value) of the decoded configuration
+  /// words, frame directory included — the chaos soak compares it against the staged bitstream to
   /// prove no corrupt frame was silently accepted.
   [[nodiscard]] std::uint64_t efpga_config_digest() const;
 

@@ -6,21 +6,17 @@
 
 #include <cstdint>
 
+#include "common/hash.hpp"
+
 namespace hermes {
 
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL) { reseed(seed); }
+  explicit Rng(std::uint64_t seed = kGoldenGamma) { reseed(seed); }
 
   void reseed(std::uint64_t seed) {
     // SplitMix64 expansion of the seed into the xoshiro state.
-    for (auto& word : state_) {
-      seed += 0x9E3779B97F4A7C15ULL;
-      std::uint64_t z = seed;
-      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-      z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-      word = z ^ (z >> 31);
-    }
+    for (auto& word : state_) word = mix64(seed += kGoldenGamma);
   }
 
   std::uint64_t next_u64() {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/hash.hpp"
 #include "fault/seu.hpp"
 #include "hw/sim.hpp"
 #include "hw/sim_sliced.hpp"
@@ -33,11 +34,8 @@ RegisterUpset draw_register_upset(const hw::Module& module,
 std::uint64_t replica_seed(std::uint64_t base_seed, std::size_t replica) {
   // SplitMix64 over (base, index): decorrelates consecutive replicas far
   // better than base + index, and never depends on thread assignment.
-  std::uint64_t z = base_seed + 0x9E3779B97F4A7C15ULL *
-                                    (static_cast<std::uint64_t>(replica) + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  return mix64(base_seed +
+               kGoldenGamma * (static_cast<std::uint64_t>(replica) + 1));
 }
 
 ScrubCampaignResult run_scrub_campaign(const ScrubCampaignPlan& plan,
@@ -213,22 +211,16 @@ NetlistSeuResult run_netlist_seu_campaign_sliced(const hw::Module& module,
 }
 
 std::uint64_t fingerprint(const NetlistSeuResult& result) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  const auto mix = [&hash](std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (value >> (8 * i)) & 0xFF;
-      hash *= 1099511628211ULL;
-    }
-  };
-  mix(result.per_replica.size());
+  Fnv64 hash;
+  hash.le64(result.per_replica.size());
   for (const NetlistSeuOutcome& outcome : result.per_replica) {
-    mix(outcome.target);
-    mix(outcome.bit);
-    mix(outcome.diverged ? 1 : 0);
-    mix(outcome.first_divergence_cycle);
+    hash.le64(outcome.target);
+    hash.le64(outcome.bit);
+    hash.le64(outcome.diverged ? 1 : 0);
+    hash.le64(outcome.first_divergence_cycle);
   }
-  mix(result.diverged);
-  return hash;
+  hash.le64(result.diverged);
+  return hash.digest();
 }
 
 }  // namespace hermes::fault

@@ -96,9 +96,9 @@ NetlistSeuResult run_netlist_seu_campaign_sliced(const hw::Module& module,
                                                  const NetlistSeuPlan& plan,
                                                  ThreadPool* pool = nullptr);
 
-/// Order-sensitive FNV-1a fingerprint of a campaign result — the equality
-/// token the tests, chaos soak and CI bench-smoke gate compare between the
-/// serial oracle and the sliced engine (and between repeated runs).
+/// Order-sensitive fingerprint of a campaign result (Fnv64::le64 per field) —
+/// the equality token the tests, chaos soak and CI bench-smoke gate compare
+/// between the serial oracle and the sliced engine (and repeated runs).
 std::uint64_t fingerprint(const NetlistSeuResult& result);
 
 }  // namespace hermes::fault

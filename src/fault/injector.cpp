@@ -3,21 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/hash.hpp"
+
 namespace hermes::fault {
-namespace {
-
-/// FNV-1a, so a point's RNG stream depends on its name but not on the order
-/// subsystems registered in.
-std::uint64_t hash_name(std::string_view name) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : name) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 const FaultSchedule* FaultPlan::find(std::string_view name) const {
   for (const PointPlan& pp : points) {
@@ -30,7 +18,9 @@ void FaultInjector::arm(Point& point) {
   const FaultSchedule* schedule = plan_.find(point.name);
   point.armed = schedule != nullptr;
   point.schedule = schedule ? *schedule : FaultSchedule{};
-  point.rng.reseed(plan_.seed ^ hash_name(point.name));
+  // Keyed by the FNV-1a of the name, so a point's RNG stream does not depend
+  // on the order subsystems registered in.
+  point.rng.reseed(plan_.seed ^ Fnv64().bytes(point.name).digest());
   point.stats = {};
   point.burst_remaining = 0;
 }
@@ -148,7 +138,7 @@ std::span<const std::string_view> default_point_catalog() {
 FaultPlan make_random_plan(std::uint64_t seed,
                            std::span<const std::string_view> points) {
   if (points.empty()) points = default_point_catalog();
-  Rng rng(seed * 0x9E3779B97F4A7C15ULL + 0xD1B54A32D192ED03ULL);
+  Rng rng(seed * kGoldenGamma + 0xD1B54A32D192ED03ULL);
   FaultPlan plan;
   plan.seed = seed;
   for (const std::string_view point : points) {

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "common/hash.hpp"
 #include "common/strings.hpp"
 #include "noc/noc.hpp"
 
@@ -18,40 +19,34 @@ const char* to_string(FdirMode mode) {
 }
 
 std::uint64_t FdirReport::fingerprint() const {
-  std::uint64_t hash = 14695981039346656037ULL;
-  const auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ULL;
-  };
-  mix(events_consumed);
-  mix(events_dropped);
-  for (const std::uint64_t count : per_layer) mix(count);
-  mix(actions.size());
+  Fnv64 hash;
+  hash.word(events_consumed);
+  hash.word(events_dropped);
+  for (const std::uint64_t count : per_layer) hash.word(count);
+  hash.word(actions.size());
   for (const FdirActionRecord& action : actions) {
-    mix(action.stamp);
-    for (const char* c = action.rule; *c; ++c) {
-      mix(static_cast<std::uint64_t>(*c));
-    }
-    mix(static_cast<std::uint64_t>(action.action));
-    mix(static_cast<std::uint64_t>(action.layer));
-    mix(action.detail);
-    mix(action.checkpoint_id);
-    mix(action.ok ? 1 : 0);
+    hash.word(action.stamp);
+    hash.bytes(action.rule);
+    hash.word(static_cast<std::uint64_t>(action.action));
+    hash.word(static_cast<std::uint64_t>(action.layer));
+    hash.word(action.detail);
+    hash.word(action.checkpoint_id);
+    hash.word(action.ok ? 1 : 0);
   }
-  mix(checkpoints_taken);
-  mix(checkpoints_refused);
-  mix(restarts);
-  mix(rollbacks);
-  mix(quarantines);
-  mix(suspensions);
-  mix(fences);
-  mix(sheds);
-  mix(noc_quarantines);
-  mix(noc_readmissions);
-  mix(safe_mode_entries);
-  mix(suppressed);
-  mix(static_cast<std::uint64_t>(final_mode));
-  return hash;
+  hash.word(checkpoints_taken);
+  hash.word(checkpoints_refused);
+  hash.word(restarts);
+  hash.word(rollbacks);
+  hash.word(quarantines);
+  hash.word(suspensions);
+  hash.word(fences);
+  hash.word(sheds);
+  hash.word(noc_quarantines);
+  hash.word(noc_readmissions);
+  hash.word(safe_mode_entries);
+  hash.word(suppressed);
+  hash.word(static_cast<std::uint64_t>(final_mode));
+  return hash.digest();
 }
 
 std::string FdirReport::render() const {

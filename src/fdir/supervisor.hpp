@@ -94,8 +94,8 @@ struct FdirReport {
   std::uint64_t suppressed = 0;  ///< decisions that were already in effect
   FdirMode final_mode = FdirMode::kNominal;
 
-  /// FNV-1a over every counter, action record and rule string — byte-stable
-  /// across runs, the soak's run-twice equality witness.
+  /// Fnv64 fold of every counter and action record (rule names as bytes) —
+  /// byte-stable across runs, the soak's run-twice equality witness.
   [[nodiscard]] std::uint64_t fingerprint() const;
 
   /// Human-readable audit trail.

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <unordered_set>
 
+#include "common/hash.hpp"
 #include "common/strings.hpp"
 
 namespace hermes::hw {
@@ -238,38 +239,32 @@ NetlistStats Module::stats() const {
 }
 
 std::uint64_t Module::digest() const {
-  std::uint64_t hash = 14695981039346656037ULL;
-  const auto mix = [&hash](std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (value >> (8 * i)) & 0xFF;
-      hash *= 1099511628211ULL;
-    }
-  };
-  mix(wire_widths_.size());
-  for (unsigned width : wire_widths_) mix(width);
-  mix(ports_.size());
+  Fnv64 hash;
+  hash.le64(wire_widths_.size());
+  for (unsigned width : wire_widths_) hash.le64(width);
+  hash.le64(ports_.size());
   for (const Port& port : ports_) {
-    mix(port.wire);
-    mix(port.is_input ? 1 : 0);
+    hash.le64(port.wire);
+    hash.le64(port.is_input ? 1 : 0);
   }
-  mix(cells_.size());
+  hash.le64(cells_.size());
   for (const Cell& cell : cells_) {
-    mix(static_cast<std::uint64_t>(cell.kind));
-    mix(cell.param);
-    mix(cell.inputs.size());
-    for (WireId wire : cell.inputs) mix(wire);
-    mix(cell.outputs.size());
-    for (WireId wire : cell.outputs) mix(wire);
+    hash.le64(static_cast<std::uint64_t>(cell.kind));
+    hash.le64(cell.param);
+    hash.le64(cell.inputs.size());
+    for (WireId wire : cell.inputs) hash.le64(wire);
+    hash.le64(cell.outputs.size());
+    for (WireId wire : cell.outputs) hash.le64(wire);
   }
-  mix(memories_.size());
+  hash.le64(memories_.size());
   for (const Memory& memory : memories_) {
-    mix(memory.width);
-    mix(memory.depth);
-    mix(memory.dual_port ? 1 : 0);
-    mix(memory.init.size());
-    for (std::uint64_t word : memory.init) mix(word);
+    hash.le64(memory.width);
+    hash.le64(memory.depth);
+    hash.le64(memory.dual_port ? 1 : 0);
+    hash.le64(memory.init.size());
+    for (std::uint64_t word : memory.init) hash.le64(word);
   }
-  return hash;
+  return hash.digest();
 }
 
 Status Module::validate() const {

@@ -148,9 +148,9 @@ class Module {
 
   [[nodiscard]] NetlistStats stats() const;
 
-  /// Structural FNV-1a digest over everything that affects behavior: wire
-  /// widths, port wires/directions, cells (kind, param, connectivity) and
-  /// memory shapes/init images. Names are deliberately excluded — two
+  /// Structural FNV-1a digest (Fnv64::le64 per value, common/hash.hpp) over
+  /// everything that affects behavior: wire widths, port wires/directions,
+  /// cells (kind, param, connectivity) and memory shapes/init images. Names are deliberately excluded — two
   /// netlists that differ only in labels simulate identically and may share
   /// a compiled kernel. This is the content-address of the process-wide
   /// jit::KernelCache and the seed of the compile-service caching layer.

@@ -9,21 +9,12 @@
 namespace hermes::noc {
 namespace {
 
-std::uint64_t fnv_mix(std::uint64_t hash, std::uint64_t value) {
-  hash ^= value;
-  return hash * 1099511628211ULL;
-}
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
-
 /// Per-beat CRC carried across the fabric: covers the routing tuple and the
 /// payload, so an in-flight payload flip is always detected at the endpoint.
 std::uint32_t beat_crc(std::uint32_t port, std::uint32_t endpoint,
                        std::uint32_t seq, std::uint64_t payload) {
-  std::uint64_t hash = kFnvBasis;
-  hash = fnv_mix(hash, port);
-  hash = fnv_mix(hash, endpoint);
-  hash = fnv_mix(hash, seq);
-  hash = fnv_mix(hash, payload);
+  const std::uint64_t hash =
+      Fnv64().word(port).word(endpoint).word(seq).word(payload).digest();
   return static_cast<std::uint32_t>(hash ^ (hash >> 32));
 }
 
@@ -40,45 +31,45 @@ constexpr std::string_view kNocPoints[] = {
 std::span<const std::string_view> noc_point_catalog() { return kNocPoints; }
 
 std::uint64_t FabricResult::fingerprint() const {
-  std::uint64_t hash = kFnvBasis;
-  hash = fnv_mix(hash, static_cast<std::uint64_t>(status.code()));
-  hash = fnv_mix(hash, cycles);
-  hash = fnv_mix(hash, silent);
-  for (const std::uint64_t digest : domain_digest) hash = fnv_mix(hash, digest);
+  Fnv64 hash;
+  hash.word(static_cast<std::uint64_t>(status.code()));
+  hash.word(cycles);
+  hash.word(silent);
+  for (const std::uint64_t digest : domain_digest) hash.word(digest);
   for (const DomainStats& d : domains) {
-    hash = fnv_mix(hash, d.completed);
-    hash = fnv_mix(hash, d.failed);
-    hash = fnv_mix(hash, d.retries);
-    hash = fnv_mix(hash, d.timeouts);
-    hash = fnv_mix(hash, d.corrupt_detected);
-    hash = fnv_mix(hash, d.credit_leaks_recovered);
-    hash = fnv_mix(hash, d.arb_stalls);
-    hash = fnv_mix(hash, d.quarantines);
-    hash = fnv_mix(hash, d.readmissions);
-    hash = fnv_mix(hash, d.drained);
+    hash.word(d.completed);
+    hash.word(d.failed);
+    hash.word(d.retries);
+    hash.word(d.timeouts);
+    hash.word(d.corrupt_detected);
+    hash.word(d.credit_leaks_recovered);
+    hash.word(d.arb_stalls);
+    hash.word(d.quarantines);
+    hash.word(d.readmissions);
+    hash.word(d.drained);
   }
   for (const PortStats& p : ports) {
-    hash = fnv_mix(hash, p.injected);
-    hash = fnv_mix(hash, p.granted);
-    hash = fnv_mix(hash, p.completed);
-    hash = fnv_mix(hash, p.retries);
-    hash = fnv_mix(hash, p.failed);
-    hash = fnv_mix(hash, p.timeouts);
-    hash = fnv_mix(hash, p.naks);
-    hash = fnv_mix(hash, p.stale_responses);
-    hash = fnv_mix(hash, p.starvation_promotions);
-    hash = fnv_mix(hash, p.rejected_masked);
-    hash = fnv_mix(hash, p.rejected_quarantined);
-    hash = fnv_mix(hash, p.latency_sum);
+    hash.word(p.injected);
+    hash.word(p.granted);
+    hash.word(p.completed);
+    hash.word(p.retries);
+    hash.word(p.failed);
+    hash.word(p.timeouts);
+    hash.word(p.naks);
+    hash.word(p.stale_responses);
+    hash.word(p.starvation_promotions);
+    hash.word(p.rejected_masked);
+    hash.word(p.rejected_quarantined);
+    hash.word(p.latency_sum);
   }
   for (const EndpointStats& e : endpoints) {
-    hash = fnv_mix(hash, e.consumed);
-    hash = fnv_mix(hash, e.responses);
-    hash = fnv_mix(hash, e.crc_rejected);
-    hash = fnv_mix(hash, e.wedges);
-    hash = fnv_mix(hash, e.watchdog_trips);
+    hash.word(e.consumed);
+    hash.word(e.responses);
+    hash.word(e.crc_rejected);
+    hash.word(e.wedges);
+    hash.word(e.watchdog_trips);
   }
-  return hash;
+  return hash.digest();
 }
 
 Crossbar::Crossbar(FabricConfig config, std::vector<PortConfig> ports,
@@ -104,7 +95,7 @@ Crossbar::Crossbar(FabricConfig config, std::vector<PortConfig> ports,
     state.vc.resize(endpoints_.size());
     state.outstanding.resize(endpoints_.size());
     state.next_seq.assign(endpoints_.size(), 0);
-    state.pair_digest.assign(endpoints_.size(), kFnvBasis);
+    state.pair_digest.assign(endpoints_.size(), Fnv64());
     ports_.push_back(std::move(state));
   }
   credits_.resize(ports_.size() * endpoints_.size());
@@ -437,9 +428,7 @@ void Crossbar::deliver_response(std::size_t endpoint,
   ++port.stats.completed;
   ++domains_[domain].completed;
   port.stats.latency_sum += now_ - record.release_cycle;
-  std::uint64_t& digest = port.pair_digest[endpoint];
-  digest = fnv_mix(digest, record.seq);
-  digest = fnv_mix(digest, beat.payload);
+  port.pair_digest[endpoint].word(record.seq).word(beat.payload);
   ++resolved_;
 }
 
@@ -636,12 +625,11 @@ FabricResult Crossbar::run() {
 
   result.cycles = now_;
   result.silent = silent_;
-  result.domain_digest.assign(num_domains_, kFnvBasis);
+  result.domain_digest.assign(num_domains_, Fnv64::kBasis);
   for (std::size_t p = 0; p < ports_.size(); ++p) {
     for (std::size_t e = 0; e < endpoints_.size(); ++e) {
-      const unsigned domain = endpoints_[e].config.domain;
-      result.domain_digest[domain] =
-          fnv_mix(result.domain_digest[domain], ports_[p].pair_digest[e]);
+      std::uint64_t& digest = result.domain_digest[endpoints_[e].config.domain];
+      digest = Fnv64(digest).word(ports_[p].pair_digest[e].digest()).digest();
     }
   }
   result.domains = domains_;

@@ -49,6 +49,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/status.hpp"
 #include "fault/injector.hpp"
 #include "fdir/event.hpp"
@@ -160,7 +161,8 @@ struct FabricResult {
   std::vector<PortStats> ports;
   std::vector<EndpointStats> endpoints;
 
-  /// FNV-1a over status, digests and every counter — the run-twice witness.
+  /// Fnv64 word fold over status, digests and every counter — the run-twice
+  /// witness.
   [[nodiscard]] std::uint64_t fingerprint() const;
 };
 
@@ -168,10 +170,7 @@ struct FabricResult {
 /// the source computes the expected response at request time, so any silent
 /// payload corruption surfaces as a mismatch at completion.
 constexpr std::uint64_t respond(std::uint32_t endpoint, std::uint64_t payload) {
-  std::uint64_t z = payload ^ (0x9E3779B97F4A7C15ULL * (endpoint + 1));
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  return mix64(payload ^ (kGoldenGamma * (endpoint + 1)));
 }
 
 /// The noc.* injection points this fabric registers (subset of
@@ -258,7 +257,7 @@ class Crossbar {
     std::vector<std::deque<VcEntry>> vc;           ///< one VC per endpoint
     std::vector<std::deque<Outstanding>> outstanding;  ///< per endpoint
     std::vector<std::uint32_t> next_seq;           ///< per endpoint stream
-    std::vector<std::uint64_t> pair_digest;        ///< per endpoint stream
+    std::vector<Fnv64> pair_digest;                ///< per endpoint stream
     PortStats stats;
   };
   struct EndpointState {

@@ -2,25 +2,11 @@
 
 #include <algorithm>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "fdir/event.hpp"
 
 namespace hermes::noc {
-namespace {
-
-std::uint64_t splitmix(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t fnv_mix(std::uint64_t hash, std::uint64_t value) {
-  hash ^= value;
-  return hash * 1099511628211ULL;
-}
-
-}  // namespace
 
 std::vector<BeatRequest> generate_workload(const WorkloadSpec& spec) {
   std::vector<BeatRequest> beats;
@@ -35,7 +21,7 @@ std::vector<BeatRequest> generate_workload(const WorkloadSpec& spec) {
       BeatRequest request;
       request.release_cycle = cycle++;
       request.endpoint = spec.endpoint;
-      request.payload = splitmix(payload_state);
+      request.payload = mix64(payload_state += kGoldenGamma);
       beats.push_back(request);
     }
     cycle += gap_after;
@@ -76,13 +62,13 @@ std::vector<PortTraffic> workloads_from_taskgraph(const df::TaskGraph& graph,
     const std::uint32_t port = static_cast<std::uint32_t>(i) % num_ports;
     const std::uint32_t endpoint =
         static_cast<std::uint32_t>(graph.sources[i]) % num_endpoints;
-    std::uint64_t payload_state = seed ^ fnv_mix(0xD1F0ULL, i);
+    std::uint64_t payload_state = seed ^ Fnv64(0xD1F0ULL).word(i).digest();
     std::uint64_t cycle = 0;
     for (std::uint64_t t = 0; t < tokens; ++t) {
       BeatRequest request;
       request.release_cycle = cycle;
       request.endpoint = endpoint;
-      request.payload = splitmix(payload_state);
+      request.payload = mix64(payload_state += kGoldenGamma);
       traffic[port].beats.push_back(request);
       cycle += task.initiation();
     }
@@ -176,18 +162,17 @@ std::uint64_t run_noc_chaos_once(std::uint64_t seed,
   const FabricResult result = fabric.run();
   if (silent_out) *silent_out = result.silent;
 
-  std::uint64_t fingerprint = result.fingerprint();
-  fingerprint = fnv_mix(fingerprint, injector.total_fires());
+  Fnv64 fingerprint(result.fingerprint());
+  fingerprint.word(injector.total_fires());
   std::vector<fdir::FdirEvent> events = bus.drain();
-  fingerprint = fnv_mix(fingerprint, events.size());
+  fingerprint.word(events.size());
   for (const fdir::FdirEvent& event : events) {
-    fingerprint = fnv_mix(fingerprint, static_cast<std::uint64_t>(event.layer));
-    fingerprint = fnv_mix(fingerprint,
-                          static_cast<std::uint64_t>(event.severity));
-    fingerprint = fnv_mix(fingerprint, static_cast<std::uint64_t>(event.code));
-    fingerprint = fnv_mix(fingerprint, event.detail);
+    fingerprint.word(static_cast<std::uint64_t>(event.layer));
+    fingerprint.word(static_cast<std::uint64_t>(event.severity));
+    fingerprint.word(static_cast<std::uint64_t>(event.code));
+    fingerprint.word(event.detail);
   }
-  return fingerprint;
+  return fingerprint.digest();
 }
 
 std::vector<std::uint64_t> run_noc_campaign(std::uint64_t first_seed,

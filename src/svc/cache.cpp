@@ -3,6 +3,8 @@
 #include <span>
 #include <utility>
 
+#include "common/hash.hpp"
+
 namespace hermes::svc {
 
 void FlowCache::attach_injector(fault::FaultInjector* injector) {
@@ -21,14 +23,6 @@ std::uint64_t FlowCache::slot_of(Stage stage, std::uint64_t key) {
   // Stage keys are already domain-tagged (job.cpp); folding the stage again
   // is belt-and-braces against a caller reusing one key across stages.
   return KeyBuilder(static_cast<std::uint64_t>(stage) + 1).u64(key).digest();
-}
-
-std::uint64_t FlowCache::image_check(const std::vector<std::uint8_t>& image) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const std::uint8_t byte : image) {
-    hash = (hash ^ byte) * 1099511628211ULL;
-  }
-  return hash;
 }
 
 std::shared_ptr<const void> FlowCache::get_or_compute_erased(
@@ -53,7 +47,7 @@ std::shared_ptr<const void> FlowCache::get_or_compute_erased(
         injector_->mutate_bytes(rot_point_,
                                 std::span<std::uint8_t>(entry.image));
       }
-      if (image_check(entry.image) == entry.check) {
+      if (Fnv64().bytes(entry.image).digest() == entry.check) {
         ++stats_.hits;
         entry.tick = ++tick_;
         if (was_hit != nullptr) *was_hit = true;
@@ -103,7 +97,7 @@ std::shared_ptr<const void> FlowCache::get_or_compute_erased(
       ++stats_.computes;
       Entry entry;
       entry.object = value;
-      entry.check = image_check(image);
+      entry.check = Fnv64().bytes(image).digest();
       stats_.bytes_in_use += image.size();
       entry.image = std::move(image);
       entry.tick = ++tick_;

@@ -7,12 +7,12 @@
 // FNV digest of everything that can change it (see svc/job.hpp).
 //
 // Integrity invariant — never serve rot silently: every entry stores a
-// canonical byte image of its artifact plus the FNV check of that image,
-// captured at insert. Every lookup re-hashes the image before serving; a
-// mismatch (storage rot, modeled by the `svc.cache.entry.rot` injection
-// point) counts as rot_detected, evicts the entry, and falls through to a
-// recompile. `rot_served` is pinned to zero by construction and asserted in
-// the soak suite.
+// canonical byte image of its artifact plus the FNV-1a byte fold of that
+// image (Fnv64::bytes, common/hash.hpp), captured at insert. Every lookup
+// re-hashes the image before serving; a mismatch (storage rot, modeled by
+// the `svc.cache.entry.rot` injection point) counts as rot_detected, evicts
+// the entry, and falls through to a recompile. `rot_served` is pinned to
+// zero by construction and asserted in the soak suite.
 //
 // Dedup invariant — one compile per digest: concurrent requesters of the
 // same (stage, key) elect one compiler; the rest park on a latch and share
@@ -90,7 +90,7 @@ class FlowCache {
   struct Entry {
     std::shared_ptr<const void> object;
     std::vector<std::uint8_t> image;  ///< canonical bytes; integrity carrier
-    std::uint64_t check = 0;          ///< FNV of image at insert
+    std::uint64_t check = 0;          ///< Fnv64::bytes of image at insert
     std::uint64_t tick = 0;           ///< last-use stamp for LRU
     Stage stage = Stage::kCharacterize;
   };
@@ -112,7 +112,6 @@ class FlowCache {
   void erase_locked(std::uint64_t slot);   ///< drop one entry, byte-accounted
 
   static std::uint64_t slot_of(Stage stage, std::uint64_t key);
-  static std::uint64_t image_check(const std::vector<std::uint8_t>& image);
 
   mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, Entry> entries_;

@@ -3,21 +3,23 @@
 //
 // The HLS+NXmap flow is recast as a four-stage pipeline —
 //   characterize -> schedule -> map -> bitstream
-// — where every stage's product is content-addressed by an FNV-1a digest of
-// everything that can change it (source bytes, constraint fields, target
-// model, backend options, upstream netlist digest). Key derivation is
-// deliberately field-by-field: adding a knob to FlowOptions/BackendOptions
-// without hashing it here would silently serve stale artifacts, which is why
-// test_svc_cache mutates every field one at a time and asserts the key moves.
+// — where every stage's product is content-addressed by an FNV-1a digest
+// (KeyBuilder below) of everything that can change it (source bytes,
+// constraint fields, target model, backend options, upstream netlist
+// digest). Key derivation is deliberately field-by-field: adding a knob to
+// FlowOptions/BackendOptions without hashing it here would silently serve
+// stale artifacts, which is why test_svc_cache mutates every field one at a
+// time and asserts the key moves.
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/status.hpp"
 #include "hls/eucalyptus.hpp"
 #include "hls/flow.hpp"
@@ -38,35 +40,31 @@ enum class Stage {
 
 const char* to_string(Stage stage);
 
-/// FNV-1a accumulator for stage-key derivation. Length-prefixes strings and
-/// byte spans so concatenations cannot alias ("ab"+"c" vs "a"+"bc").
+/// Stage-key builder over a common/hash.hpp Fnv64: folds every integer as
+/// its 8 little-endian bytes (Fnv64::le64) after a domain tag, and
+/// length-prefixes strings before their raw bytes (Fnv64::bytes) so
+/// concatenations cannot alias ("ab"+"c" vs "a"+"bc").
 class KeyBuilder {
  public:
   explicit KeyBuilder(std::uint64_t domain_tag) { u64(domain_tag); }
 
   KeyBuilder& u64(std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ = (hash_ ^ ((value >> (8 * i)) & 0xFF)) * 1099511628211ULL;
-    }
+    hash_.le64(value);
     return *this;
   }
   KeyBuilder& f64(double value) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    return u64(bits);
+    return u64(std::bit_cast<std::uint64_t>(value));
   }
   KeyBuilder& str(std::string_view text) {
     u64(text.size());
-    for (const char c : text) {
-      hash_ = (hash_ ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
-    }
+    hash_.bytes(text);
     return *this;
   }
 
-  [[nodiscard]] std::uint64_t digest() const { return hash_; }
+  [[nodiscard]] std::uint64_t digest() const { return hash_.digest(); }
 
  private:
-  std::uint64_t hash_ = 14695981039346656037ULL;
+  Fnv64 hash_;
 };
 
 /// One compile job. Source-level jobs carry a C kernel through the full
@@ -111,10 +109,10 @@ struct CompileOutcome {
   double power_total_mw = 0.0;
   std::vector<std::uint8_t> bitstream;
 
-  /// FNV fingerprint over the semantic artifacts only (status code, netlist
-  /// digest, FSM states, timing/power bits, bitstream bytes) — never over
-  /// stats, cycles or hit flags, so a warm run fingerprints identically to
-  /// its cold oracle and a pooled run to its serial one.
+  /// KeyBuilder fingerprint over the semantic artifacts only (status code,
+  /// netlist digest, FSM states, timing/power bits, bitstream bytes) — never
+  /// over stats, cycles or hit flags, so a warm run fingerprints identically
+  /// to its cold oracle and a pooled run to its serial one.
   [[nodiscard]] std::uint64_t fingerprint() const;
 };
 

@@ -12,19 +12,16 @@
 #include "axi/slave_memory.hpp"
 #include "boot/bl.hpp"
 #include "boot/loadlist.hpp"
+#include "common/hash.hpp"
 #include "dataflow/taskgraph.hpp"
 #include "fault/campaign.hpp"
 #include "fault/injector.hpp"
 #include "hls/flow.hpp"
 #include "hv/hypervisor.hpp"
 #include "nxmap/bitstream.hpp"
-#include "soak_util.hpp"
 
 namespace hermes::fault {
 namespace {
-
-using soak::kFnvBasis;
-using soak::mix;
 
 constexpr std::uint64_t kBootSeeds = 80;
 constexpr std::uint64_t kAxiSeeds = 60;
@@ -92,17 +89,17 @@ std::uint64_t run_boot_once(std::uint64_t seed, bool* survived) {
   }
   *survived = result.status.ok();
 
-  std::uint64_t hash = kFnvBasis;
-  hash = mix(hash, static_cast<std::uint64_t>(result.status.code()));
-  hash = mix(hash, static_cast<std::uint64_t>(result.reached));
-  hash = mix(hash, result.report.total_cycles);
-  hash = mix(hash, result.report.flash_corrected_bytes);
-  hash = mix(hash, result.report.spw_crc_errors);
-  hash = mix(hash, result.report.integrity_retries);
-  hash = mix(hash, result.report.spw_fallbacks);
-  hash = mix(hash, result.report.steps.size());
-  hash = mix(hash, injector.total_fires());
-  return hash;
+  Fnv64 hash;
+  hash.word(static_cast<std::uint64_t>(result.status.code()));
+  hash.word(static_cast<std::uint64_t>(result.reached));
+  hash.word(result.report.total_cycles);
+  hash.word(result.report.flash_corrected_bytes);
+  hash.word(result.report.spw_crc_errors);
+  hash.word(result.report.integrity_retries);
+  hash.word(result.report.spw_fallbacks);
+  hash.word(result.report.steps.size());
+  hash.word(injector.total_fires());
+  return hash.digest();
 }
 
 TEST(ChaosSoak, BootChainUnderRandomFaultPlans) {
@@ -140,7 +137,7 @@ std::uint64_t run_axi_once(const hls::FlowResult& flow,
   auto run = axi::run_with_axi(flow, {3}, ddr, map, axi::AxiMode::kDmaBurst,
                                {}, 2'000'000, config);
 
-  std::uint64_t hash = kFnvBasis;
+  Fnv64 hash;
   if (run.ok()) {
     // Corrupted-but-OKAY read beats (axi.r.corrupt) are invisible to the
     // protocol, so the end-to-end golden compare is the detector: a mismatch
@@ -153,14 +150,14 @@ std::uint64_t run_axi_once(const hls::FlowResult& flow,
       EXPECT_TRUE(attributable)
           << "silent corruption: " << run.value().mismatch;
     }
-    hash = mix(hash, run.value().match ? 1u : 0u);
-    hash = mix(hash, run.value().return_value);
-    hash = mix(hash, run.value().total_cycles);
-    hash = mix(hash, run.value().bus.retries);
-    hash = mix(hash, run.value().bus.errors);
-    hash = mix(hash, run.value().bus.watchdog_trips);
+    hash.word(run.value().match ? 1u : 0u);
+    hash.word(run.value().return_value);
+    hash.word(run.value().total_cycles);
+    hash.word(run.value().bus.retries);
+    hash.word(run.value().bus.errors);
+    hash.word(run.value().bus.watchdog_trips);
     for (std::size_t i = 0; i < 32; ++i) {
-      hash = mix(hash, ddr.peek_word(map.base_addr.at(0) + i * 4, 4));
+      hash.word(ddr.peek_word(map.base_addr.at(0) + i * 4, 4));
     }
   } else {
     // Failed clean: one of the error paths the master is allowed to take.
@@ -169,11 +166,11 @@ std::uint64_t run_axi_once(const hls::FlowResult& flow,
                 code == ErrorCode::kInvalidArgument ||
                 code == ErrorCode::kDeadlineExceeded)
         << run.status().to_string();
-    hash = mix(hash, static_cast<std::uint64_t>(code));
+    hash.word(static_cast<std::uint64_t>(code));
   }
   *survived = run.ok();
-  hash = mix(hash, injector.total_fires());
-  return hash;
+  hash.word(injector.total_fires());
+  return hash.digest();
 }
 
 TEST(ChaosSoak, AxiAcceleratorUnderRandomFaultPlans) {
@@ -263,24 +260,24 @@ std::uint64_t run_efpga_boot_once(std::uint64_t seed, bool arm, bool* survived,
   *survived = result.status.ok() && env.soc.efpga_programmed;
   *digest_out = env.soc.efpga_config_digest();
 
-  std::uint64_t hash = kFnvBasis;
-  hash = mix(hash, static_cast<std::uint64_t>(result.status.code()));
-  hash = mix(hash, static_cast<std::uint64_t>(result.reached));
-  hash = mix(hash, result.report.total_cycles);
-  hash = mix(hash, result.report.efpga_frame_rewrites);
-  hash = mix(hash, result.report.efpga_scrub_corrections);
-  hash = mix(hash, efpga.frames_programmed);
-  hash = mix(hash, efpga.frame_crc_mismatches);
-  hash = mix(hash, efpga.frame_rewrites);
-  hash = mix(hash, efpga.header_rewrites);
-  hash = mix(hash, efpga.prog_failures);
-  hash = mix(hash, efpga.scrub_passes);
-  hash = mix(hash, efpga.scrub_corrected);
-  hash = mix(hash, efpga.scrub_uncorrectable);
-  hash = mix(hash, efpga.frames_reprogrammed);
-  hash = mix(hash, *digest_out);
-  hash = mix(hash, injector.total_fires());
-  return hash;
+  Fnv64 hash;
+  hash.word(static_cast<std::uint64_t>(result.status.code()));
+  hash.word(static_cast<std::uint64_t>(result.reached));
+  hash.word(result.report.total_cycles);
+  hash.word(result.report.efpga_frame_rewrites);
+  hash.word(result.report.efpga_scrub_corrections);
+  hash.word(efpga.frames_programmed);
+  hash.word(efpga.frame_crc_mismatches);
+  hash.word(efpga.frame_rewrites);
+  hash.word(efpga.header_rewrites);
+  hash.word(efpga.prog_failures);
+  hash.word(efpga.scrub_passes);
+  hash.word(efpga.scrub_corrected);
+  hash.word(efpga.scrub_uncorrectable);
+  hash.word(efpga.frames_reprogrammed);
+  hash.word(*digest_out);
+  hash.word(injector.total_fires());
+  return hash.digest();
 }
 
 TEST(ChaosSoak, EfpgaProgrammingUnderRandomFaultPlans) {
@@ -353,17 +350,16 @@ std::uint64_t run_dataflow_once(std::uint64_t seed, bool* survived) {
   }
   *survived = run.ok();
 
-  std::uint64_t hash = kFnvBasis;
-  hash = mix(hash, run.ok() ? 0u
-                            : static_cast<std::uint64_t>(run.status().code()));
-  hash = mix(hash, stats.makespan);
-  hash = mix(hash, stats.node_retries);
-  hash = mix(hash, stats.node_failures);
+  Fnv64 hash;
+  hash.word(run.ok() ? 0u : static_cast<std::uint64_t>(run.status().code()));
+  hash.word(stats.makespan);
+  hash.word(stats.node_retries);
+  hash.word(stats.node_failures);
   for (std::uint64_t retries : stats.retries_per_task) {
-    hash = mix(hash, retries);
+    hash.word(retries);
   }
-  hash = mix(hash, injector.total_fires());
-  return hash;
+  hash.word(injector.total_fires());
+  return hash.digest();
 }
 
 TEST(ChaosSoak, DataflowRetryUnderRandomFaultPlans) {
@@ -414,7 +410,7 @@ std::uint64_t run_hv_once(std::uint64_t seed) {
   EXPECT_TRUE(stats.ok()) << stats.status().to_string();
   if (!stats.ok()) return 0;
 
-  std::uint64_t hash = kFnvBasis;
+  Fnv64 hash;
   const hv::RunStats& run = stats.value();
   for (const hv::PartitionStats& partition : run.partitions) {
     // The escalation ladder caps restarts; a partition is never left in an
@@ -423,20 +419,20 @@ std::uint64_t run_hv_once(std::uint64_t seed) {
     EXPECT_TRUE(partition.final_state == hv::PartitionState::kNormal ||
                 partition.final_state == hv::PartitionState::kSuspended ||
                 partition.final_state == hv::PartitionState::kHalted);
-    hash = mix(hash, partition.jobs_completed);
-    hash = mix(hash, partition.restarts);
-    hash = mix(hash, partition.budget_overruns);
-    hash = mix(hash, partition.deadline_misses);
-    hash = mix(hash, static_cast<std::uint64_t>(partition.final_state));
+    hash.word(partition.jobs_completed);
+    hash.word(partition.restarts);
+    hash.word(partition.budget_overruns);
+    hash.word(partition.deadline_misses);
+    hash.word(static_cast<std::uint64_t>(partition.final_state));
   }
-  hash = mix(hash, run.hm_log.size());
+  hash.word(run.hm_log.size());
   for (const hv::HmLogEntry& entry : run.hm_log) {
-    hash = mix(hash, entry.when);
-    hash = mix(hash, static_cast<std::uint64_t>(entry.event));
-    hash = mix(hash, static_cast<std::uint64_t>(entry.action));
+    hash.word(entry.when);
+    hash.word(static_cast<std::uint64_t>(entry.event));
+    hash.word(static_cast<std::uint64_t>(entry.action));
   }
-  hash = mix(hash, injector.total_fires());
-  return hash;
+  hash.word(injector.total_fires());
+  return hash.digest();
 }
 
 TEST(ChaosSoak, HypervisorMissionUnderRandomFaultPlans) {
@@ -532,14 +528,14 @@ TEST(ChaosSoak, ForkedScrubCampaignDeterministicAndIsolated) {
     const boot::EfpgaStats& stats = fork.efpga_stats();
     EXPECT_EQ(stats.scrub_silent, 0u) << "seed " << seed;
 
-    std::uint64_t hash = kFnvBasis;
-    hash = mix(hash, stats.scrub_passes);
-    hash = mix(hash, stats.scrub_corrected);
-    hash = mix(hash, stats.scrub_uncorrectable);
-    hash = mix(hash, stats.frames_reprogrammed);
-    hash = mix(hash, fork.efpga_config_digest());
-    hash = mix(hash, injector.total_fires());
-    return hash;
+    Fnv64 hash;
+    hash.word(stats.scrub_passes);
+    hash.word(stats.scrub_corrected);
+    hash.word(stats.scrub_uncorrectable);
+    hash.word(stats.frames_reprogrammed);
+    hash.word(fork.efpga_config_digest());
+    hash.word(injector.total_fires());
+    return hash.digest();
   };
 
   for (std::uint64_t seed = 1; seed <= kForkSeeds; ++seed) {

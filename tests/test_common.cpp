@@ -7,6 +7,7 @@
 
 #include "common/bits.hpp"
 #include "common/crc.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/sha256.hpp"
 #include "common/status.hpp"
@@ -83,6 +84,38 @@ TEST(Sha256, MultiBlockMessage) {
   incremental.update(std::span(data.data(), 77));
   incremental.update(std::span(data.data() + 77, data.size() - 77));
   EXPECT_EQ(incremental.digest(), sha256(data));
+}
+
+// The three folds of common/hash.hpp, checked at compile time. Values built
+// from them through the subsystems are pinned in test_hash.cpp.
+static_assert(Fnv64().bytes("").digest() == 0xcbf2'9ce4'8422'2325ULL);
+static_assert(Fnv64().bytes("a").digest() == 0xaf63dc4c8601ec8cULL);
+static_assert(Fnv64().bytes("foobar").digest() == 0x85944171f73967e8ULL);
+constexpr std::string_view kLe64Bytes("\x00\x01\x02\x03\x04\x05\x06\x07", 8);
+static_assert(Fnv64().le64(0x0706050403020100ULL).digest() ==
+              Fnv64().bytes(kLe64Bytes).digest());
+static_assert(Fnv64().word('f').word('o').digest() ==
+              Fnv64().bytes("fo").digest());
+static_assert(Fnv64(Fnv64().bytes("foo").digest()).bytes("bar").digest() ==
+              Fnv64().bytes("foobar").digest());
+static_assert(Fnv64().word(0x100).digest() != Fnv64().le64(0x100).digest());
+static_assert(mix64(0) == 0);
+
+TEST(Hash, ByteSpanAndCharFoldsAgree) {
+  const std::vector<std::uint8_t> bytes = {'f', 'o', 'o', 'b', 'a', 'r'};
+  EXPECT_EQ(Fnv64().bytes(bytes).digest(), Fnv64().bytes("foobar").digest());
+  // Bytes above 0x7F fold unsigned whatever the signedness of char.
+  const std::vector<std::uint8_t> high = {0xFF, 0x80};
+  EXPECT_EQ(Fnv64().bytes(high).digest(),
+            Fnv64().bytes("\xFF\x80").digest());
+}
+
+TEST(Hash, Mix64IsSplitMix64) {
+  // First outputs of the reference SplitMix64 generator seeded with 0:
+  // mix64 of the state after each golden-gamma increment.
+  EXPECT_EQ(mix64(kGoldenGamma), 0xE220A8397B1DCDAFULL);
+  EXPECT_EQ(mix64(2 * kGoldenGamma), 0x6E789E6AA1B965F4ULL);
+  EXPECT_EQ(mix64(3 * kGoldenGamma), 0x06C45D188009454FULL);
 }
 
 TEST(Bits, MaskAndTruncate) {

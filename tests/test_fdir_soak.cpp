@@ -21,17 +21,14 @@
 #include <vector>
 
 #include "boot/bl.hpp"
+#include "common/hash.hpp"
 #include "dataflow/taskgraph.hpp"
 #include "fault/injector.hpp"
 #include "fdir/supervisor.hpp"
 #include "nxmap/bitstream.hpp"
-#include "soak_util.hpp"
 
 namespace hermes::fdir {
 namespace {
-
-using soak::kFnvBasis;
-using soak::mix;
 
 constexpr std::uint64_t kRollbackSeeds = 16;
 constexpr std::uint64_t kQuarantineSeeds = 10;
@@ -75,16 +72,16 @@ void stage_efpga_boot(boot::BootEnvironment& env) {
 std::uint64_t mission_fingerprint(const FdirSupervisor& supervisor,
                                   const boot::Soc& soc,
                                   const fault::FaultInjector& injector) {
-  std::uint64_t hash = kFnvBasis;
-  hash = mix(hash, supervisor.report().fingerprint());
-  hash = mix(hash, static_cast<std::uint64_t>(supervisor.mode()));
-  hash = mix(hash, soc.efpga_config_digest());
-  hash = mix(hash, soc.efpga_stats().scrub_passes);
-  hash = mix(hash, soc.efpga_stats().scrub_corrected);
-  hash = mix(hash, soc.efpga_stats().scrub_uncorrectable);
-  hash = mix(hash, soc.efpga_stats().frames_reprogrammed);
-  hash = mix(hash, injector.total_fires());
-  return hash;
+  Fnv64 hash;
+  hash.word(supervisor.report().fingerprint());
+  hash.word(static_cast<std::uint64_t>(supervisor.mode()));
+  hash.word(soc.efpga_config_digest());
+  hash.word(soc.efpga_stats().scrub_passes);
+  hash.word(soc.efpga_stats().scrub_corrected);
+  hash.word(soc.efpga_stats().scrub_uncorrectable);
+  hash.word(soc.efpga_stats().frames_reprogrammed);
+  hash.word(injector.total_fires());
+  return hash.digest();
 }
 
 // ---------------------------------------------------------------------------
@@ -137,7 +134,7 @@ TEST(FdirSoak, RollbackStormDeterministic) {
     const std::uint64_t a = run_rollback_storm_once(base, clean_digest, seed);
     const std::uint64_t b = run_rollback_storm_once(base, clean_digest, seed);
     ASSERT_EQ(a, b) << "seed " << seed << " is not deterministic";
-    rollbacks_seen += (a != kFnvBasis) ? 1 : 0;
+    rollbacks_seen += (a != Fnv64::kBasis) ? 1 : 0;
   }
   // The storm must be a real one: rot at probability 1.0 forces rollbacks on
   // every seed, so every fingerprint reflects a mission that recovered.
@@ -205,16 +202,16 @@ std::uint64_t run_quarantine_once(std::uint64_t seed) {
   supervisor.poll();
 
   EXPECT_EQ(env.soc.efpga_stats().scrub_silent, 0u) << "seed " << seed;
-  std::uint64_t hash = mission_fingerprint(supervisor, env.soc, boot_injector);
-  hash = mix(hash, static_cast<std::uint64_t>(result.status.code()));
-  hash = mix(hash, supervisor.efpga_quarantined() ? 1u : 0u);
-  hash = mix(hash, mission.tasks.size());
-  hash = mix(hash, run.ok() ? 0u : static_cast<std::uint64_t>(run.status().code()));
-  hash = mix(hash, stats.makespan);
-  hash = mix(hash, stats.node_retries);
-  hash = mix(hash, stats.node_failures);
-  hash = mix(hash, df_injector.total_fires());
-  return hash;
+  Fnv64 hash(mission_fingerprint(supervisor, env.soc, boot_injector));
+  hash.word(static_cast<std::uint64_t>(result.status.code()));
+  hash.word(supervisor.efpga_quarantined() ? 1u : 0u);
+  hash.word(mission.tasks.size());
+  hash.word(run.ok() ? 0u : static_cast<std::uint64_t>(run.status().code()));
+  hash.word(stats.makespan);
+  hash.word(stats.node_retries);
+  hash.word(stats.node_failures);
+  hash.word(df_injector.total_fires());
+  return hash.digest();
 }
 
 TEST(FdirSoak, QuarantineUnderLoadDeterministic) {
@@ -267,10 +264,10 @@ std::uint64_t run_ring_exhaustion_once(const boot::SocSnapshot& base,
               static_cast<std::uint64_t>(config.max_rollbacks))
         << "seed " << seed;
   }
-  std::uint64_t hash = mission_fingerprint(supervisor, soc, injector);
-  hash = mix(hash, supervisor.checkpoints().stats().refused);
-  hash = mix(hash, supervisor.checkpoints().stats().taken);
-  return hash;
+  Fnv64 hash(mission_fingerprint(supervisor, soc, injector));
+  hash.word(supervisor.checkpoints().stats().refused);
+  hash.word(supervisor.checkpoints().stats().taken);
+  return hash.digest();
 }
 
 TEST(FdirSoak, CheckpointRingExhaustionLandsSafeDeterministically) {

@@ -12,19 +12,16 @@
 
 #include <cstdint>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/threadpool.hpp"
 #include "fault/campaign.hpp"
 #include "hw/jit/cache.hpp"
 #include "hw/jit/exec_memory.hpp"
 #include "netlist_fuzz.hpp"
-#include "soak_util.hpp"
 
 namespace hermes::fault {
 namespace {
-
-using soak::kFnvBasis;
-using soak::mix;
 
 // 64 random-design plans plus 8 on a fixed design stressing warm-cache reuse
 // across repeated campaigns: 72 plans, each run once on the interpreter and
@@ -51,18 +48,18 @@ std::uint64_t run_once(const hw::Module& module, const NetlistSeuPlan& plan,
       run_netlist_seu_campaign(module, plan, nullptr,
                                jit ? hw::SimBackend::kJit
                                    : hw::SimBackend::kEvent);
-  std::uint64_t hash = kFnvBasis;
-  hash = mix(hash, seed);
-  hash = mix(hash, fingerprint(result));
-  hash = mix(hash, result.diverged);
-  return hash;
+  Fnv64 hash;
+  hash.word(seed);
+  hash.word(fingerprint(result));
+  hash.word(result.diverged);
+  return hash.digest();
 }
 
 TEST(JitSoak, RandomDesignCampaignsMatchInterpreterOracleRunTwice) {
   Rng rng(0x50A7C0DE);
-  std::uint64_t oracle_hash = kFnvBasis;
-  std::uint64_t jit_hash_a = kFnvBasis;
-  std::uint64_t jit_hash_b = kFnvBasis;
+  Fnv64 oracle_hash;
+  Fnv64 jit_hash_a;
+  Fnv64 jit_hash_b;
   for (int i = 0; i < kRandomPlans; ++i) {
     hw::fuzz::RandomDesign design =
         hw::fuzz::make_random_design(rng, i, "jit_soak");
@@ -81,12 +78,12 @@ TEST(JitSoak, RandomDesignCampaignsMatchInterpreterOracleRunTwice) {
     const std::uint64_t jit_b = run_once(design.module, plan, i, /*jit=*/true);
     ASSERT_EQ(oracle, jit_a) << "JIT diverged from interpreter, plan " << i;
     ASSERT_EQ(jit_a, jit_b) << "JIT campaign not run-twice stable, plan " << i;
-    oracle_hash = mix(oracle_hash, oracle);
-    jit_hash_a = mix(jit_hash_a, jit_a);
-    jit_hash_b = mix(jit_hash_b, jit_b);
+    oracle_hash.word(oracle);
+    jit_hash_a.word(jit_a);
+    jit_hash_b.word(jit_b);
   }
-  EXPECT_EQ(oracle_hash, jit_hash_a);
-  EXPECT_EQ(jit_hash_a, jit_hash_b);
+  EXPECT_EQ(oracle_hash.digest(), jit_hash_a.digest());
+  EXPECT_EQ(jit_hash_a.digest(), jit_hash_b.digest());
 }
 
 TEST(JitSoak, WarmCacheCampaignsStayDeterministicAcrossPlans) {
@@ -99,18 +96,18 @@ TEST(JitSoak, WarmCacheCampaignsStayDeterministicAcrossPlans) {
   ASSERT_TRUE(design.module.validate().ok());
 
   hw::jit::KernelCache::global().reset_stats();
-  std::uint64_t first_pass = kFnvBasis;
-  std::uint64_t second_pass = kFnvBasis;
+  Fnv64 first_pass;
+  Fnv64 second_pass;
   for (int i = 0; i < kWarmCachePlans; ++i) {
     NetlistSeuPlan plan = make_plan(1000 + static_cast<std::uint64_t>(i));
     plan.inputs.emplace_back("en0", 1);
     const std::uint64_t oracle =
         run_once(design.module, plan, i, /*jit=*/false);
-    first_pass = mix(first_pass, run_once(design.module, plan, i, true));
-    second_pass = mix(second_pass, run_once(design.module, plan, i, true));
+    first_pass.word(run_once(design.module, plan, i, true));
+    second_pass.word(run_once(design.module, plan, i, true));
     ASSERT_EQ(oracle, run_once(design.module, plan, i, true)) << "plan " << i;
   }
-  EXPECT_EQ(first_pass, second_pass);
+  EXPECT_EQ(first_pass.digest(), second_pass.digest());
 
   const auto stats = hw::jit::KernelCache::global().stats();
   if (hw::jit::jit_available()) {

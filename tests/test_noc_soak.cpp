@@ -16,16 +16,13 @@
 #include <cstdint>
 #include <string_view>
 
+#include "common/hash.hpp"
 #include "fault/injector.hpp"
 #include "noc/noc.hpp"
 #include "noc/workload.hpp"
-#include "soak_util.hpp"
 
 namespace hermes::noc {
 namespace {
-
-using soak::kFnvBasis;
-using soak::mix;
 
 constexpr std::uint64_t kStallSeeds = 40;
 constexpr std::uint64_t kDropSeeds = 40;
@@ -38,7 +35,7 @@ static_assert(kStallSeeds + kDropSeeds + kWedgeSeeds + kBedlamSeeds >= 128,
 /// family hash; every run must replay bit-identically and stay silent-free.
 std::uint64_t soak_family(std::uint64_t first_seed, std::uint64_t seeds,
                           std::span<const std::string_view> points) {
-  std::uint64_t family_hash = kFnvBasis;
+  Fnv64 family_hash;
   for (std::uint64_t seed = first_seed; seed < first_seed + seeds; ++seed) {
     std::uint64_t silent_a = ~0ULL;
     std::uint64_t silent_b = ~0ULL;
@@ -47,33 +44,33 @@ std::uint64_t soak_family(std::uint64_t first_seed, std::uint64_t seeds,
     EXPECT_EQ(a, b) << "seed " << seed << " did not replay bit-identically";
     EXPECT_EQ(silent_a, 0u) << "seed " << seed << " corrupted silently";
     EXPECT_EQ(silent_b, silent_a);
-    family_hash = mix(family_hash, a);
+    family_hash.word(a);
   }
-  return family_hash;
+  return family_hash.digest();
 }
 
 TEST(NocSoak, ArbitrationStallStormIsDeterministic) {
   constexpr std::string_view kPoints[] = {"noc.arb.stall", "noc.credit.leak"};
   const std::uint64_t hash = soak_family(1, kStallSeeds, kPoints);
-  EXPECT_NE(hash, kFnvBasis);
+  EXPECT_NE(hash, Fnv64::kBasis);
 }
 
 TEST(NocSoak, DroppedAndCorruptBeatStormIsDeterministic) {
   constexpr std::string_view kPoints[] = {"noc.beat.drop", "noc.beat.corrupt"};
   const std::uint64_t hash = soak_family(101, kDropSeeds, kPoints);
-  EXPECT_NE(hash, kFnvBasis);
+  EXPECT_NE(hash, Fnv64::kBasis);
 }
 
 TEST(NocSoak, EndpointWedgeQuarantineIsDeterministic) {
   constexpr std::string_view kPoints[] = {"noc.endpoint.wedge"};
   const std::uint64_t hash = soak_family(201, kWedgeSeeds, kPoints);
-  EXPECT_NE(hash, kFnvBasis);
+  EXPECT_NE(hash, Fnv64::kBasis);
 }
 
 TEST(NocSoak, FullCatalogBedlamIsDeterministic) {
   const std::uint64_t hash =
       soak_family(301, kBedlamSeeds, noc_point_catalog());
-  EXPECT_NE(hash, kFnvBasis);
+  EXPECT_NE(hash, Fnv64::kBasis);
 }
 
 /// Under a wedge storm, quarantine must contain the damage: every domain the

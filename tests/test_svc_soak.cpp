@@ -13,8 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "fault/injector.hpp"
-#include "soak_util.hpp"
 #include "svc/service.hpp"
 #include "svc_corpus.hpp"
 
@@ -48,23 +48,23 @@ std::vector<CompileRequest> soak_corpus() {
 /// charges and dispatch slots are deliberately excluded — hit patterns and
 /// dispatch counters differ between passes; artifacts may not.
 std::uint64_t artifact_fingerprint(const std::vector<CompileOutcome>& outcomes) {
-  std::uint64_t hash = soak::kFnvBasis;
+  Fnv64 hash;
   for (const CompileOutcome& outcome : outcomes) {
-    hash = soak::mix(hash, outcome.fingerprint());
-    hash = soak::mix(hash, static_cast<std::uint64_t>(outcome.status.code()));
+    hash.word(outcome.fingerprint());
+    hash.word(static_cast<std::uint64_t>(outcome.status.code()));
   }
-  return hash;
+  return hash.digest();
 }
 
 /// Artifacts plus the WFQ dispatch order — the serial-vs-pooled contract.
 /// Only comparable between FRESH services draining the same submission set
 /// (a reused service continues its dispatch counter across drains).
 std::uint64_t run_fingerprint(const std::vector<CompileOutcome>& outcomes) {
-  std::uint64_t hash = artifact_fingerprint(outcomes);
+  Fnv64 hash(artifact_fingerprint(outcomes));
   for (const CompileOutcome& outcome : outcomes) {
-    hash = soak::mix(hash, outcome.dispatch_index);
+    hash.word(outcome.dispatch_index);
   }
-  return hash;
+  return hash.digest();
 }
 
 std::vector<CompileOutcome> run_soak(unsigned workers,
