@@ -46,8 +46,8 @@ class Parser {
   explicit Parser(std::string_view document) : text_(document) {}
 
   Result<std::unique_ptr<XmlNode>> run() {
-    skip_prolog();
-    auto root = parse_element();
+    skip_misc();
+    auto root = parse_element(0);
     if (!root.ok()) return root.status();
     if (!root.value()) {
       return Status::Error(ErrorCode::kParseError, "no root element");
@@ -66,7 +66,8 @@ class Parser {
     return text_.substr(pos_, prefix.size()) == prefix;
   }
 
-  void skip_prolog() {
+  /// Skips whitespace, comments and processing instructions, iteratively.
+  void skip_misc() {
     skip_ws();
     while (starts("<?") || starts("<!--")) {
       const char* terminator = starts("<?") ? "?>" : "-->";
@@ -107,17 +108,18 @@ class Parser {
     return std::string(text_.substr(start, pos_ - start));
   }
 
-  /// Parses one element starting at '<'. Returns nullptr at a closing tag.
-  Result<std::unique_ptr<XmlNode>> parse_element() {
+  /// Parses one element starting at '<', inside `depth` open elements.
+  /// Returns nullptr at a closing tag.
+  Result<std::unique_ptr<XmlNode>> parse_element(std::size_t depth) {
     skip_ws();
     if (pos_ >= text_.size() || text_[pos_] != '<') {
       return Status::Error(ErrorCode::kParseError, "expected '<'");
     }
     if (starts("</")) return std::unique_ptr<XmlNode>();  // caller's close tag
-    if (starts("<!--")) {
-      const std::size_t end = text_.find("-->", pos_);
-      pos_ = end == std::string_view::npos ? text_.size() : end + 3;
-      return parse_element();
+    if (depth == kMaxXmlDepth) {
+      return Status::Error(
+          ErrorCode::kParseError,
+          format("elements nested deeper than %zu levels", kMaxXmlDepth));
     }
     ++pos_;  // consume '<'
     auto node = std::make_unique<XmlNode>();
@@ -175,6 +177,10 @@ class Parser {
         node->text += unescape(chunk);
       }
       pos_ = next;
+      if (starts("<!--") || starts("<?")) {
+        skip_misc();
+        continue;
+      }
       if (starts("</")) {
         pos_ += 2;
         const std::string close = parse_name();
@@ -191,7 +197,7 @@ class Parser {
         ++pos_;
         return node;
       }
-      auto child = parse_element();
+      auto child = parse_element(depth + 1);
       if (!child.ok()) return child.status();
       if (child.value()) node->children.push_back(child.take());
     }

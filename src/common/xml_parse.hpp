@@ -1,5 +1,5 @@
 // Minimal XML reader matching the subset XmlWriter produces: nested elements
-// with attributes, text nodes, comments ignored. Enough for the Bambu
+// with attributes, text nodes, comments and processing instructions ignored. Enough for the Bambu
 // library round-trip (Eucalyptus writes the characterization XML; the tech
 // library reads it back at flow start).
 #pragma once
@@ -29,6 +29,10 @@ struct XmlNode {
   [[nodiscard]] std::int64_t attr_int(std::string_view key,
                                       std::int64_t fallback = 0) const;
 };
+
+/// Deepest element nesting parse_xml accepts (root = level 1): the reader
+/// recurses once per level, so deeper input is a kParseError.
+inline constexpr std::size_t kMaxXmlDepth = 256;
 
 /// Parses one document; returns the root element.
 Result<std::unique_ptr<XmlNode>> parse_xml(std::string_view document);

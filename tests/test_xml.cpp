@@ -1,6 +1,8 @@
 // XML writer/reader round-trip and the Eucalyptus library round-trip.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/xml_parse.hpp"
 #include "hls/eucalyptus.hpp"
 
@@ -34,6 +36,55 @@ TEST(XmlParse, RejectsMalformed) {
   EXPECT_FALSE(parse_xml("<a attr></a>").ok());      // attribute without value
   EXPECT_FALSE(parse_xml("<a>").ok());               // unclosed
   EXPECT_FALSE(parse_xml("no markup at all").ok());
+}
+
+/// `depth` elements, each nested in the one before.
+std::string nested_document(std::size_t depth) {
+  std::string document;
+  for (std::size_t i = 0; i < depth; ++i) document += "<a>";
+  for (std::size_t i = 0; i < depth; ++i) document += "</a>";
+  return document;
+}
+
+TEST(XmlParse, DeepNestingIsAParseErrorNotACrash) {
+  const auto result = parse_xml(nested_document(100'000));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), ErrorCode::kParseError);
+  EXPECT_NE(result.status().to_string().find("256"), std::string::npos)
+      << result.status().to_string();
+}
+
+TEST(XmlParse, NestingLimitIsExact) {
+  const auto at_limit = parse_xml(nested_document(kMaxXmlDepth));
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().to_string();
+  std::size_t depth = 1;
+  for (const XmlNode* node = at_limit.value().get(); !node->children.empty();
+       node = node->children.front().get()) {
+    ++depth;
+  }
+  EXPECT_EQ(depth, kMaxXmlDepth);
+
+  const auto past_limit = parse_xml(nested_document(kMaxXmlDepth + 1));
+  ASSERT_FALSE(past_limit.ok());
+  EXPECT_EQ(past_limit.status().code(), ErrorCode::kParseError);
+}
+
+TEST(XmlParse, LongCommentRunsParse) {
+  std::string document = "<r>";
+  for (int i = 0; i < 100'000; ++i) document += "<!--c-->";
+  document += "<a/></r>";
+  const auto result = parse_xml(document);
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  ASSERT_EQ(result.value()->children.size(), 1u);
+  EXPECT_EQ(result.value()->children[0]->name, "a");
+}
+
+TEST(XmlParse, TextAroundCommentsIsKept) {
+  const auto result = parse_xml("<r>x<!-- note -->y<?pi data?><b/></r>");
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  EXPECT_EQ(result.value()->text, "x y");
+  ASSERT_EQ(result.value()->children.size(), 1u);
+  EXPECT_EQ(result.value()->children[0]->name, "b");
 }
 
 TEST(Eucalyptus, LibraryXmlRoundTrip) {
