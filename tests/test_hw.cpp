@@ -2,6 +2,8 @@
 // VCD tracer.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "hls/flow.hpp"
@@ -79,6 +81,21 @@ struct OpCase {
   unsigned width;
   std::uint64_t a, b, expect;
 };
+
+/// gtest names each case after its parameter, dumped byte by byte. The three
+/// padding bytes after `kind` are uninitialized, so they used to change the
+/// ctest names from one build to the next; dump a copy whose padding is zero.
+void PrintTo(const OpCase& c, std::ostream* os) {
+  OpCase zeroed;
+  std::memset(&zeroed, 0, sizeof(zeroed));
+  zeroed.kind = c.kind;
+  zeroed.width = c.width;
+  zeroed.a = c.a;
+  zeroed.b = c.b;
+  zeroed.expect = c.expect;
+  ::testing::internal::PrintBytesInObjectTo(
+      reinterpret_cast<const unsigned char*>(&zeroed), sizeof(zeroed), os);
+}
 
 class SimBinop : public ::testing::TestWithParam<OpCase> {};
 
