@@ -2,6 +2,8 @@
 // SoC bring-up rules, and the BL0 -> BL1 -> BL2 chain with fault injection.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "boot/bl.hpp"
 #include "common/rng.hpp"
 #include "hls/flow.hpp"
@@ -319,6 +321,20 @@ struct BootEnvCase {
   double ber;
   BootSource source;
 };
+
+/// gtest names each case after its parameter, dumped byte by byte. The
+/// padding after `replicas` and `source` is uninitialized, so it used to
+/// change the ctest names from one build to the next; dump a copy whose
+/// padding is zero.
+void PrintTo(const BootEnvCase& c, std::ostream* os) {
+  BootEnvCase zeroed;
+  std::memset(&zeroed, 0, sizeof(zeroed));
+  zeroed.replicas = c.replicas;
+  zeroed.ber = c.ber;
+  zeroed.source = c.source;
+  ::testing::internal::PrintBytesInObjectTo(
+      reinterpret_cast<const unsigned char*>(&zeroed), sizeof(zeroed), os);
+}
 
 class BootMatrix : public ::testing::TestWithParam<BootEnvCase> {};
 
