@@ -1,7 +1,7 @@
 // Minimal XML reader matching the subset XmlWriter produces: nested elements
-// with attributes, text nodes, comments and processing instructions ignored. Enough for the Bambu
-// library round-trip (Eucalyptus writes the characterization XML; the tech
-// library reads it back at flow start).
+// with attributes, text nodes, comments and processing instructions ignored.
+// Enough for the Bambu library round-trip (Eucalyptus writes the
+// characterization XML; the tech library reads it back at flow start).
 #pragma once
 
 #include <map>
