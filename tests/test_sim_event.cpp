@@ -168,6 +168,137 @@ TEST(SimEngineDifferential, HlsAcceleratorSameResultAllBackends) {
   EXPECT_NE(event_result, 0u);
 }
 
+// One cycle of random stimulus: inputs, an SEU flip on a register or any
+// wire, a backdoor memory write, then a step. `flip(wire, bit, lane_mask)`
+// adapts corrupt_wire to the engine; scalar engines ignore the mask.
+template <typename Sim, typename Flip>
+void random_cycle(Sim& sim, const RandomDesign& design,
+                  const std::vector<WireId>& regs, Rng& rng, Flip&& flip) {
+  for (const std::string& port : design.input_ports) {
+    if (rng.next_bool(0.5)) sim.set_input(port, rng.next_u64());
+  }
+  if (rng.next_bool(0.4)) {
+    const WireId target =
+        (!regs.empty() && rng.next_bool(0.7))
+            ? regs[rng.next_below(regs.size())]
+            : static_cast<WireId>(rng.next_below(design.module.wire_count()));
+    flip(target,
+         static_cast<unsigned>(rng.next_below(design.module.wire_width(target))),
+         rng.next_u64() | 2);  // at least lane 1 diverges from lane 0
+  }
+  if (design.memory_count != 0 && rng.next_bool(0.3)) {
+    const std::size_t addr =
+        rng.next_below(design.module.memories()[0].depth);
+    sim.write_memory(0, addr, rng.next_u64());
+  }
+  sim.step();
+}
+
+TEST(SimEngineDifferential, ResetMatchesFreshEngine) {
+  // A used engine that is reset must be indistinguishable from a freshly
+  // built one: every wire, memory word and (on the sliced engine) lane. The
+  // used engine is left mid-cycle with a pending flip and an unsettled input,
+  // so any event worklist or dirty-level state surviving reset() shows up.
+  constexpr int kDesigns = 40;
+  constexpr int kDirtyCycles = 12;
+  constexpr int kReplayCycles = 15;
+  Rng design_rng(0x5E5E7);
+
+  for (int trial = 0; trial < kDesigns; ++trial) {
+    const RandomDesign design = fuzz::make_random_design(design_rng, trial);
+    const Module& m = design.module;
+    const std::uint64_t seed = design_rng.next_u64();
+
+    for (SimBackend backend :
+         {SimBackend::kSweep, SimBackend::kEvent, SimBackend::kJit}) {
+      Simulator used(m, SimOptions{.backend = backend});
+      ASSERT_TRUE(used.status().ok()) << used.status().message();
+      const std::vector<WireId> regs = used.register_outputs();
+      const auto flip = [](Simulator& sim) {
+        return [&sim](WireId wire, unsigned bit, std::uint64_t) {
+          sim.corrupt_wire(wire, bit);
+        };
+      };
+      Rng dirty(seed ^ 0xD1);
+      for (int c = 0; c < kDirtyCycles; ++c) {
+        random_cycle(used, design, regs, dirty, flip(used));
+      }
+      if (!regs.empty()) used.corrupt_wire(regs[0], 0);
+      if (!design.input_ports.empty()) {
+        used.set_input(design.input_ports[0], dirty.next_u64());
+      }
+      used.reset();
+
+      Simulator fresh(m, SimOptions{.backend = backend});
+      Rng replay_used(seed), replay_fresh(seed);
+      for (int c = -1; c < kReplayCycles; ++c) {
+        if (c >= 0) {
+          random_cycle(used, design, regs, replay_used, flip(used));
+          random_cycle(fresh, design, regs, replay_fresh, flip(fresh));
+        }
+        ASSERT_EQ(used.cycles(), fresh.cycles());
+        for (WireId w = 0; w < m.wire_count(); ++w) {
+          ASSERT_EQ(used.get(w), fresh.get(w))
+              << to_string(backend) << " trial " << trial << " cycle " << c
+              << " wire " << m.wire_name(w);
+        }
+        for (std::size_t mem = 0; mem < design.memory_count; ++mem) {
+          for (std::size_t a = 0; a < m.memories()[mem].depth; ++a) {
+            ASSERT_EQ(used.read_memory(mem, a), fresh.read_memory(mem, a))
+                << to_string(backend) << " trial " << trial << " cycle " << c
+                << " mem[" << a << "]";
+          }
+        }
+      }
+    }
+
+    SlicedSimulator used(m);
+    ASSERT_TRUE(used.status().ok()) << used.status().message();
+    const std::vector<WireId> regs = used.register_outputs();
+    const auto flip = [](SlicedSimulator& sim) {
+      return [&sim](WireId wire, unsigned bit, std::uint64_t lanes) {
+        sim.corrupt_wire(wire, bit, lanes);
+      };
+    };
+    Rng dirty(seed ^ 0xD1);
+    for (int c = 0; c < kDirtyCycles; ++c) {
+      random_cycle(used, design, regs, dirty, flip(used));
+    }
+    if (!regs.empty()) used.corrupt_wire(regs[0], 0, ~0ULL);
+    if (!design.input_ports.empty()) {
+      used.set_input(design.input_ports[0], dirty.next_u64());
+    }
+    used.reset();
+
+    SlicedSimulator fresh(m);
+    Rng replay_used(seed), replay_fresh(seed);
+    for (int c = -1; c < kReplayCycles; ++c) {
+      if (c >= 0) {
+        random_cycle(used, design, regs, replay_used, flip(used));
+        random_cycle(fresh, design, regs, replay_fresh, flip(fresh));
+      }
+      ASSERT_EQ(used.cycles(), fresh.cycles());
+      for (WireId w = 0; w < m.wire_count(); ++w) {
+        for (unsigned b = 0; b < m.wire_width(w); ++b) {
+          ASSERT_EQ(used.slices(w)[b], fresh.slices(w)[b])
+              << "sliced trial " << trial << " cycle " << c << " wire "
+              << m.wire_name(w) << " bit " << b;
+        }
+      }
+      for (std::size_t mem = 0; mem < design.memory_count; ++mem) {
+        for (std::size_t a = 0; a < m.memories()[mem].depth; ++a) {
+          for (unsigned lane = 0; lane < SlicedSimulator::kLanes; ++lane) {
+            ASSERT_EQ(used.read_memory_lane(mem, a, lane),
+                      fresh.read_memory_lane(mem, a, lane))
+                << "sliced trial " << trial << " cycle " << c << " mem[" << a
+                << "] lane " << lane;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(SimEngineDifferential, LazySettleKeepsObservableSemantics) {
   // Counter with enable: repeated settles without input changes are no-ops,
   // and outputs stay fresh right after step() without extra eval_comb calls.
