@@ -10,7 +10,7 @@ KernelCache& KernelCache::global() {
 }
 
 std::shared_ptr<const JitKernel> KernelCache::get_or_compile(
-    std::uint64_t digest, const OpTableView& table) {
+    std::uint64_t digest, const CompiledNetlist& net) {
   // Availability is checked before any bookkeeping: a disabled JIT is a
   // silent fallback, not a cache miss.
   if (!jit_available()) return nullptr;
@@ -22,7 +22,7 @@ std::shared_ptr<const JitKernel> KernelCache::get_or_compile(
     return it->second.kernel;
   }
   ++stats_.misses;
-  std::shared_ptr<const JitKernel> kernel = JitKernel::compile(table);
+  std::shared_ptr<const JitKernel> kernel = JitKernel::compile(net);
   if (kernel == nullptr) return nullptr;  // encode/map failure: not cached
   ++stats_.compiles;
   stats_.compile_ns += kernel->stats().compile_ns;

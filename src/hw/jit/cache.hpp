@@ -36,7 +36,7 @@ class KernelCache {
   /// Null (and no stats movement) when JIT execution is unavailable; null
   /// after a miss when compilation fails.
   std::shared_ptr<const JitKernel> get_or_compile(std::uint64_t digest,
-                                                  const OpTableView& table);
+                                                  const CompiledNetlist& net);
 
   void clear();
   void set_capacity(std::size_t capacity);

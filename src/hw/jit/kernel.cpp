@@ -8,11 +8,11 @@
 
 namespace hermes::hw::jit {
 
-std::shared_ptr<const JitKernel> JitKernel::compile(const OpTableView& table) {
+std::shared_ptr<const JitKernel> JitKernel::compile(const CompiledNetlist& net) {
   if (!jit_available()) return nullptr;
   const auto start = std::chrono::steady_clock::now();
 
-  const MirProgram program = lower(table);
+  const MirProgram program = lower(net);
 
   // Emit every block into one buffer, each function start 16-byte aligned.
   std::vector<std::uint8_t> code;
@@ -47,7 +47,7 @@ std::shared_ptr<const JitKernel> JitKernel::compile(const OpTableView& table) {
   JitKernelStats& stats = kernel->stats_;
   stats.code_bytes = code.size();
   stats.levels = program.levels.size();
-  stats.ops = table.op_count;
+  stats.ops = net.comb_ops.size();
   stats.seq_ops = program.seq_op_count;
   const auto accumulate = [&stats](const MirBlock& block) {
     stats.folded_consts += block.folded_consts;

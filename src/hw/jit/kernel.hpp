@@ -1,8 +1,10 @@
-// Compiled netlist kernel: one native function per topological level plus a
-// fused full-sweep function, all sharing one W^X code mapping. A kernel is
-// immutable after compile() and holds no pointer into any simulator — every
-// entry takes the wire value array as its argument, so one kernel serves all
-// simulators of structurally-identical modules (see jit::KernelCache).
+// Native kernel of a hw::CompiledNetlist — the same compiled form the
+// interpreters run: one function per topological level, a fused full-sweep
+// function and a sequential-cone function, all sharing one W^X code
+// mapping. A kernel is immutable after compile() and holds no pointer into
+// any simulator — every entry takes the wire value array as its argument, so
+// one kernel serves all simulators of structurally-identical modules (see
+// jit::KernelCache).
 #pragma once
 
 #include <cstdint>
@@ -27,10 +29,10 @@ struct JitKernelStats {
 
 class JitKernel {
  public:
-  /// Lowers and compiles the op table. Returns null when JIT execution is
+  /// Lowers and compiles the netlist. Returns null when JIT execution is
   /// unavailable (non-x86-64, W^X denied, HERMES_DISABLE_JIT) or the table
   /// cannot be encoded — callers fall back to the interpreter.
-  static std::shared_ptr<const JitKernel> compile(const OpTableView& table);
+  static std::shared_ptr<const JitKernel> compile(const CompiledNetlist& net);
 
   /// Full sweep: evaluates every comb op in topological order.
   void run_all(std::uint64_t* values) const { full_(values); }

@@ -14,10 +14,10 @@ struct ConstTable {
   std::vector<std::uint8_t> is_const;
   std::vector<std::uint64_t> value;
 
-  explicit ConstTable(const OpTableView& table)
-      : is_const(table.wire_count, 0), value(table.wire_count, 0) {
-    for (std::size_t i = 0; i < table.op_count; ++i) {
-      const CombOp& op = table.ops[i];
+  explicit ConstTable(const CompiledNetlist& net)
+      : is_const(net.wire_count, 0), value(net.wire_count, 0) {
+    for (std::size_t i = 0; i < net.comb_ops.size(); ++i) {
+      const CombOp& op = net.comb_ops[i];
       if (op.kind != CellKind::kConst) continue;
       is_const[op.out] = 1;
       value[op.out] = op.param & op.out_mask;
@@ -67,7 +67,7 @@ bool mask_needed(const CombOp& op, const std::uint8_t* widths) {
 /// Lowers the ops named by `indices` (which must be in topological order) to
 /// one straight-line block. Contiguous level ranges and the sparse
 /// sequential-cone subset both go through here.
-MirBlock lower_ops(const OpTableView& table, const ConstTable& consts,
+MirBlock lower_ops(const CompiledNetlist& net, const ConstTable& consts,
                    const std::vector<std::uint32_t>& indices) {
   MirBlock block;
   block.insts.reserve(indices.size());
@@ -75,24 +75,24 @@ MirBlock lower_ops(const OpTableView& table, const ConstTable& consts,
   // Hot-wire selection: pin the most-read non-const wires of the block into
   // callee-saved registers. Deterministic tie-break on the wire id keeps the
   // digest -> code mapping stable.
-  std::vector<std::uint32_t> reads(table.wire_count, 0);
+  std::vector<std::uint32_t> reads(net.wire_count, 0);
   for (const std::uint32_t i : indices) {
-    const CombOp& op = table.ops[i];
+    const CombOp& op = net.comb_ops[i];
     for (std::uint16_t k = 0; k < op.input_count; ++k) {
-      const WireId wire = table.inputs[op.first_input + k];
+      const WireId wire = net.op_inputs[op.first_input + k];
       if (!consts.is_const[wire]) ++reads[wire];
     }
   }
   struct Candidate { WireId wire; std::uint32_t count; };
   std::vector<Candidate> hot;
-  for (WireId wire = 0; wire < table.wire_count; ++wire) {
+  for (WireId wire = 0; wire < net.wire_count; ++wire) {
     if (reads[wire] >= 2) hot.push_back({wire, reads[wire]});
   }
   std::sort(hot.begin(), hot.end(), [](const Candidate& a, const Candidate& b) {
     if (a.count != b.count) return a.count > b.count;
     return a.wire < b.wire;
   });
-  std::vector<std::int8_t> pin_slot(table.wire_count, -1);
+  std::vector<std::int8_t> pin_slot(net.wire_count, -1);
   for (std::size_t i = 0; i < hot.size() && i < kMaxPinned; ++i) {
     block.pinned[i] = hot[i].wire;
     pin_slot[hot[i].wire] = static_cast<std::int8_t>(i);
@@ -101,7 +101,7 @@ MirBlock lower_ops(const OpTableView& table, const ConstTable& consts,
 
   WireId prev_out = kNoWire;
   for (const std::uint32_t i : indices) {
-    const CombOp& op = table.ops[i];
+    const CombOp& op = net.comb_ops[i];
     MirInst inst;
     inst.kind = op.kind;
     inst.out = op.out;
@@ -109,13 +109,13 @@ MirBlock lower_ops(const OpTableView& table, const ConstTable& consts,
     inst.out_mask = op.out_mask;
     inst.param = op.param;
     inst.out_reg_slot = pin_slot[op.out];
-    const std::uint8_t* widths = table.input_widths + op.first_input;
+    const std::uint8_t* widths = net.op_input_widths.data() + op.first_input;
     inst.mask_result = mask_needed(op, widths);
     if (!inst.mask_result) ++block.elided_masks;
 
     const auto lower_operand = [&](std::uint16_t k) {
       MirOperand operand;
-      const WireId wire = table.inputs[op.first_input + k];
+      const WireId wire = net.op_inputs[op.first_input + k];
       operand.width = widths[k];
       operand.wire = wire;
       if (consts.is_const[wire]) {
@@ -153,29 +153,27 @@ MirBlock lower_ops(const OpTableView& table, const ConstTable& consts,
   return block;
 }
 
-MirBlock lower_block(const OpTableView& table, const ConstTable& consts,
+MirBlock lower_block(const CompiledNetlist& net, const ConstTable& consts,
                      std::size_t begin, std::size_t end) {
   std::vector<std::uint32_t> indices(end - begin);
   for (std::size_t i = begin; i < end; ++i) {
     indices[i - begin] = static_cast<std::uint32_t>(i);
   }
-  return lower_ops(table, consts, indices);
+  return lower_ops(net, consts, indices);
 }
 
 /// Op indices transitively reachable from the sequential output wires, in
 /// (level-sorted) topological order. One forward pass suffices: every op's
 /// inputs come from strictly earlier table positions or non-comb wires.
-std::vector<std::uint32_t> sequential_cone(const OpTableView& table) {
-  std::vector<std::uint8_t> tainted(table.wire_count, 0);
-  for (std::size_t i = 0; i < table.seq_output_count; ++i) {
-    tainted[table.seq_outputs[i]] = 1;
-  }
+std::vector<std::uint32_t> sequential_cone(const CompiledNetlist& net) {
+  std::vector<std::uint8_t> tainted(net.wire_count, 0);
+  for (const WireId wire : net.seq_outputs) tainted[wire] = 1;
   std::vector<std::uint32_t> cone;
-  for (std::size_t i = 0; i < table.op_count; ++i) {
-    const CombOp& op = table.ops[i];
+  for (std::size_t i = 0; i < net.comb_ops.size(); ++i) {
+    const CombOp& op = net.comb_ops[i];
     bool in_cone = false;
     for (std::uint16_t k = 0; k < op.input_count; ++k) {
-      if (tainted[table.inputs[op.first_input + k]]) { in_cone = true; break; }
+      if (tainted[net.op_inputs[op.first_input + k]]) { in_cone = true; break; }
     }
     if (in_cone) {
       cone.push_back(static_cast<std::uint32_t>(i));
@@ -187,18 +185,18 @@ std::vector<std::uint32_t> sequential_cone(const OpTableView& table) {
 
 }  // namespace
 
-MirProgram lower(const OpTableView& table) {
+MirProgram lower(const CompiledNetlist& net) {
   MirProgram program;
-  const ConstTable consts(table);
-  program.full = lower_block(table, consts, 0, table.op_count);
-  program.levels.reserve(table.level_count);
-  for (std::size_t level = 0; level < table.level_count; ++level) {
-    program.levels.push_back(lower_block(table, consts, table.level_start[level],
-                                         table.level_start[level + 1]));
+  const ConstTable consts(net);
+  program.full = lower_block(net, consts, 0, net.comb_ops.size());
+  program.levels.reserve(net.level_count());
+  for (std::size_t level = 0; level < net.level_count(); ++level) {
+    program.levels.push_back(lower_block(net, consts, net.level_start[level],
+                                         net.level_start[level + 1]));
   }
-  const std::vector<std::uint32_t> cone = sequential_cone(table);
+  const std::vector<std::uint32_t> cone = sequential_cone(net);
   program.seq_op_count = cone.size();
-  program.seq = lower_ops(table, consts, cone);
+  program.seq = lower_ops(net, consts, cone);
   return program;
 }
 

@@ -1,7 +1,7 @@
 // Machine-IR for the netlist JIT.
 //
-// The lowering pass turns one Simulator op-table block (a topological level,
-// or the whole table for the full-sweep kernel) into a straight-line list of
+// The lowering pass turns one block of a CompiledNetlist's op table (a
+// topological level, or the whole table for the full-sweep kernel) into a straight-line list of
 // MirInsts the x86-64 emitter translates 1:1. Lowering performs the three
 // optimizations the emitter relies on:
 //
@@ -84,8 +84,7 @@ struct MirProgram {
   std::size_t seq_op_count = 0;  ///< ops in the sequential cone
 };
 
-/// Lowers a simulator op table. The view must stay alive for the call only —
-/// the result owns all of its storage.
-MirProgram lower(const OpTableView& table);
+/// Lowers a compiled netlist. The result owns all of its storage.
+MirProgram lower(const CompiledNetlist& net);
 
 }  // namespace hermes::hw::jit

@@ -21,45 +21,17 @@ const char* to_string(SimBackend backend) {
   return "?";
 }
 
-Simulator::Simulator(const Module& module, SimOptions options)
-    : module_(module), options_(options) {
-  status_ = module.validate();
-  if (!status_.ok()) return;
-
-  values_.assign(module.wire_count(), 0);
-  build_tables();
-  if (!status_.ok()) return;
-
-  active_backend_ = options_.backend;
-  if (options_.backend == SimBackend::kJit) {
-    // Content-addressed process-wide cache: identical netlists share one
-    // compiled kernel. A null kernel (non-x86-64, W^X denied,
-    // HERMES_DISABLE_JIT) degrades silently to the interpreter.
-    jit_kernel_ = jit::KernelCache::global().get_or_compile(
-        module_.digest(), op_table_view());
-    if (jit_kernel_ == nullptr) active_backend_ = SimBackend::kEvent;
-  }
-  reset();
-}
-
-OpTableView Simulator::op_table_view() const {
-  OpTableView view;
-  view.ops = comb_ops_.data();
-  view.op_count = comb_ops_.size();
-  view.inputs = op_inputs_.data();
-  view.input_widths = op_input_widths_.data();
-  view.level_start = level_start_.data();
-  view.level_count = level_count();
-  view.wire_count = module_.wire_count();
-  view.seq_outputs = seq_output_wires_.data();
-  view.seq_output_count = seq_output_wires_.size();
-  return view;
-}
-
-void Simulator::build_tables() {
-  const auto& cells = module_.cells();
-  const std::size_t wire_count = module_.wire_count();
+Result<std::shared_ptr<const CompiledNetlist>> compile_netlist(
+    const Module& module) {
+  if (Status status = module.validate(); !status.ok()) return status;
+  auto net = std::make_shared<CompiledNetlist>();
+  const auto& cells = module.cells();
+  const std::size_t wire_count = module.wire_count();
+  const auto width_of = [&module](WireId wire) {
+    return static_cast<std::uint8_t>(module.wire_width(wire));
+  };
   constexpr std::size_t kNoCell = static_cast<std::size_t>(-1);
+  net->wire_count = wire_count;
 
   std::vector<std::size_t> driver_of(wire_count, kNoCell);
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -79,23 +51,26 @@ void Simulator::build_tables() {
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
     if (is_sequential(cell.kind)) {
+      const auto& in = cell.inputs;
+      const WireId out = cell.outputs.empty() ? kNoWire : cell.outputs[0];
+      const auto mem = static_cast<std::uint32_t>(cell.param);
       switch (cell.kind) {
         case CellKind::kRegister:
-          reg_ops_.push_back({cell.inputs[0], cell.inputs[1], cell.outputs[0],
-                              module_.wire_width(cell.outputs[0]), cell.param});
-          seq_output_wires_.push_back(cell.outputs[0]);
+          net->reg_ops.push_back(
+              {in[0], in[1], out, width_of(in[0]), width_of(in[1]),
+               width_of(out), truncate(cell.param, module.wire_width(out))});
+          net->seq_outputs.push_back(out);
           break;
         case CellKind::kRamRead:
-          ram_read_ops_.push_back({cell.inputs[0], cell.inputs[1],
-                                   cell.outputs[0],
-                                   static_cast<std::uint32_t>(cell.param)});
-          seq_output_wires_.push_back(cell.outputs[0]);
+          net->ram_read_ops.push_back({in[0], in[1], out, mem, width_of(in[0]),
+                                       width_of(in[1]), width_of(out)});
+          net->seq_outputs.push_back(out);
           break;
         case CellKind::kRamWrite:
-          ram_write_ops_.push_back(
-              {cell.inputs[0], cell.inputs[1], cell.inputs[2],
-               static_cast<std::uint32_t>(cell.param),
-               module_.memories()[cell.param].width});
+          net->ram_write_ops.push_back(
+              {in[0], in[1], in[2], mem, width_of(in[0]), width_of(in[1]),
+               width_of(in[2]),
+               static_cast<std::uint8_t>(module.memories()[mem].width)});
           break;
         default:
           break;
@@ -127,10 +102,9 @@ void Simulator::build_tables() {
     }
   }
   if (comb_topo.size() != comb_count) {
-    status_ = Status::Error(ErrorCode::kInternal,
-                            format("combinational loop in module %s",
-                                   module_.name().c_str()));
-    return;
+    return Status::Error(ErrorCode::kInternal,
+                         format("combinational loop in module %s",
+                                module.name().c_str()));
   }
 
   // Group ops of a level contiguously. A cell's inputs come from strictly
@@ -143,50 +117,44 @@ void Simulator::build_tables() {
                    });
 
   // Flatten into the SoA op table, in level-sorted topological order.
-  comb_ops_.reserve(comb_count);
-  std::uint32_t max_level = 0;
+  auto& ops = net->comb_ops;
+  ops.reserve(comb_count);
   for (std::size_t cell_index : comb_topo) {
     const Cell& cell = cells[cell_index];
     CombOp op;
     op.kind = cell.kind;
     op.level = cell_level[cell_index];
-    op.first_input = static_cast<std::uint32_t>(op_inputs_.size());
+    op.first_input = static_cast<std::uint32_t>(net->op_inputs.size());
     op.input_count = static_cast<std::uint16_t>(cell.inputs.size());
     for (WireId wire : cell.inputs) {
-      op_inputs_.push_back(wire);
-      op_input_widths_.push_back(
-          static_cast<std::uint8_t>(module_.wire_width(wire)));
+      net->op_inputs.push_back(wire);
+      net->op_input_widths.push_back(width_of(wire));
     }
     op.out = cell.outputs[0];
-    op.out_width = static_cast<std::uint8_t>(module_.wire_width(op.out));
+    op.out_width = width_of(op.out);
     op.out_mask = bit_mask(op.out_width);
     op.param = cell.param;
-    comb_ops_.push_back(op);
-    max_level = std::max(max_level, op.level);
+    ops.push_back(op);
   }
-  // CSR scratch arena for the per-level worklists: level l owns exactly as
-  // many slots as it has ops (the worst case a delta can schedule). With the
-  // level-sorted table the same offsets delimit the level's op indices.
-  const std::size_t levels = comb_ops_.empty() ? 0 : max_level + 1;
-  std::vector<std::uint32_t> level_counts(levels, 0);
-  for (const CombOp& op : comb_ops_) ++level_counts[op.level];
-  level_start_.assign(levels + 1, 0);
+  // Level CSR. Levels are dense (an op at level l > 0 has a driver at l - 1),
+  // so the last op's level is the highest.
+  const std::size_t levels = ops.empty() ? 0 : ops.back().level + 1;
+  net->level_start.assign(levels + 1, 0);
+  for (const CombOp& op : ops) ++net->level_start[op.level + 1];
   for (std::size_t l = 0; l < levels; ++l) {
-    level_start_[l + 1] = level_start_[l] + level_counts[l];
+    net->level_start[l + 1] += net->level_start[l];
   }
-  level_fill_.assign(levels, 0);
-  level_arena_.assign(comb_ops_.size(), 0);
-  op_scheduled_.assign(comb_ops_.size(), 0);
 
-  comb_driver_.assign(wire_count, kNoCombOp);
-  for (std::size_t i = 0; i < comb_ops_.size(); ++i) {
-    comb_driver_[comb_ops_[i].out] = static_cast<std::uint32_t>(i);
+  net->comb_driver.assign(wire_count, kNoCombOp);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    net->comb_driver[ops[i].out] = static_cast<std::uint32_t>(i);
   }
 
   // Per-wire fanout lists (CSR), deduplicated per op so a cell consuming the
-  // same wire twice appears once.
+  // same wire twice appears once, and the lowest consumer level per wire —
+  // the JIT backend's dirty-level tracker.
   const auto for_each_unique_input = [&](const CombOp& op, auto&& fn) {
-    const WireId* in = op_inputs_.data() + op.first_input;
+    const WireId* in = net->op_inputs.data() + op.first_input;
     for (std::uint16_t i = 0; i < op.input_count; ++i) {
       bool seen = false;
       for (std::uint16_t j = 0; j < i; ++j) {
@@ -195,39 +163,60 @@ void Simulator::build_tables() {
       if (!seen) fn(in[i]);
     }
   };
-  std::vector<std::uint32_t> counts(wire_count, 0);
-  for (const CombOp& op : comb_ops_) {
-    for_each_unique_input(op, [&](WireId wire) { ++counts[wire]; });
-  }
-  fanout_offsets_.assign(wire_count + 1, 0);
-  for (std::size_t w = 0; w < wire_count; ++w) {
-    fanout_offsets_[w + 1] = fanout_offsets_[w] + counts[w];
-  }
-  fanout_ops_.resize(fanout_offsets_[wire_count]);
-  std::vector<std::uint32_t> cursor(fanout_offsets_.begin(),
-                                    fanout_offsets_.end() - 1);
-  for (std::size_t i = 0; i < comb_ops_.size(); ++i) {
-    for_each_unique_input(comb_ops_[i], [&](WireId wire) {
-      fanout_ops_[cursor[wire]++] = static_cast<std::uint32_t>(i);
-    });
-  }
-
-  // Lowest consumer level per wire — the JIT backend's dirty-level tracker.
-  wire_min_level_.assign(wire_count,
-                         static_cast<std::uint32_t>(levels));
-  for (const CombOp& op : comb_ops_) {
+  auto& offsets = net->fanout_offsets;
+  offsets.assign(wire_count + 1, 0);
+  net->wire_min_level.assign(wire_count, static_cast<std::uint32_t>(levels));
+  for (const CombOp& op : ops) {
     for_each_unique_input(op, [&](WireId wire) {
-      wire_min_level_[wire] = std::min(wire_min_level_[wire], op.level);
+      ++offsets[wire + 1];
+      net->wire_min_level[wire] = std::min(net->wire_min_level[wire], op.level);
     });
   }
+  for (std::size_t w = 0; w < wire_count; ++w) offsets[w + 1] += offsets[w];
+  net->fanout_ops.resize(offsets[wire_count]);
+  std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    for_each_unique_input(ops[i], [&](WireId wire) {
+      net->fanout_ops[cursor[wire]++] = static_cast<std::uint32_t>(i);
+    });
+  }
+  return std::shared_ptr<const CompiledNetlist>(std::move(net));
+}
+
+std::vector<WireId> CompiledNetlist::register_outputs() const {
+  std::vector<WireId> outputs;
+  outputs.reserve(reg_ops.size());
+  for (const RegOp& op : reg_ops) outputs.push_back(op.q);
+  return outputs;
+}
+
+Simulator::Simulator(const Module& module, SimOptions options)
+    : module_(module), options_(options) {
+  auto net = compile_netlist(module);
+  if (!net.ok()) {
+    status_ = net.status();
+    return;
+  }
+  net_ = net.take();
+  values_.assign(module.wire_count(), 0);
+
+  active_backend_ = options_.backend;
+  if (options_.backend == SimBackend::kJit) {
+    // Content-addressed process-wide cache: identical netlists share one
+    // compiled kernel. A null kernel (non-x86-64, W^X denied,
+    // HERMES_DISABLE_JIT) degrades silently to the interpreter.
+    jit_kernel_ =
+        jit::KernelCache::global().get_or_compile(module_.digest(), *net_);
+    if (jit_kernel_ == nullptr) active_backend_ = SimBackend::kEvent;
+  }
+  if (active_backend_ == SimBackend::kEvent) worklist_ = EventWorklist(*net_);
+  reset();
 }
 
 void Simulator::reset() {
   cycles_ = 0;
   std::fill(values_.begin(), values_.end(), 0);
-  for (const RegOp& op : reg_ops_) {
-    values_[op.q] = truncate(op.reset_value, op.q_width);
-  }
+  for (const RegOp& op : net_->reg_ops) values_[op.q] = op.reset_value;
   mem_state_.clear();
   for (const Memory& memory : module_.memories()) {
     std::vector<std::uint64_t> contents(memory.depth, 0);
@@ -237,29 +226,15 @@ void Simulator::reset() {
     mem_state_.push_back(std::move(contents));
   }
   // Full settle from scratch; every engine starts from a fully clean state.
-  std::fill(level_fill_.begin(), level_fill_.end(), 0);
-  std::fill(op_scheduled_.begin(), op_scheduled_.end(), 0);
+  worklist_.clear();
   if (active_backend_ == SimBackend::kJit) {
     jit_kernel_->run_all(values_.data());
   } else {
-    for (const CombOp& op : comb_ops_) values_[op.out] = eval_op(op);
+    for (const CombOp& op : net_->comb_ops) values_[op.out] = eval_op(op);
   }
-  jit_dirty_level_ = static_cast<std::uint32_t>(level_count());
+  jit_dirty_level_ = static_cast<std::uint32_t>(net_->level_count());
   jit_dirty_seq_only_ = true;
   comb_dirty_ = false;
-}
-
-void Simulator::schedule_op(std::uint32_t op_index) {
-  if (op_scheduled_[op_index]) return;
-  op_scheduled_[op_index] = 1;
-  const std::uint32_t level = comb_ops_[op_index].level;
-  level_arena_[level_start_[level] + level_fill_[level]++] = op_index;
-}
-
-void Simulator::schedule_fanout(WireId wire) {
-  const std::uint32_t begin = fanout_offsets_[wire];
-  const std::uint32_t end = fanout_offsets_[wire + 1];
-  for (std::uint32_t i = begin; i < end; ++i) schedule_op(fanout_ops_[i]);
 }
 
 void Simulator::mark_wire_changed(WireId wire, bool sequential) {
@@ -268,11 +243,12 @@ void Simulator::mark_wire_changed(WireId wire, bool sequential) {
     case SimBackend::kSweep:
       break;
     case SimBackend::kJit:
-      jit_dirty_level_ = std::min(jit_dirty_level_, wire_min_level_[wire]);
+      jit_dirty_level_ =
+          std::min(jit_dirty_level_, net_->wire_min_level[wire]);
       if (!sequential) jit_dirty_seq_only_ = false;
       break;
     case SimBackend::kEvent:
-      schedule_fanout(wire);
+      worklist_.schedule_fanout(wire);
       break;
   }
 }
@@ -291,14 +267,12 @@ void Simulator::set_input(WireId wire, std::uint64_t value) {
 }
 
 std::uint64_t Simulator::get_output(std::string_view port_name) const {
-  const WireId wire = module_.port_wire(port_name);
-  assert(wire != kNoWire && "unknown output port");
-  return values_[wire];
+  return get(module_.port_wire(port_name));
 }
 
 std::uint64_t Simulator::eval_op(const CombOp& op) const {
-  const WireId* inputs = op_inputs_.data() + op.first_input;
-  const std::uint8_t* widths = op_input_widths_.data() + op.first_input;
+  const WireId* inputs = net_->op_inputs.data() + op.first_input;
+  const std::uint8_t* widths = net_->op_input_widths.data() + op.first_input;
   return eval_comb_cell(
       op.kind, op.param, op.out_mask,
       [&](std::size_t index) { return values_[inputs[index]]; }, widths,
@@ -310,7 +284,7 @@ void Simulator::eval_comb() {
   comb_dirty_ = false;
 
   if (active_backend_ == SimBackend::kSweep) {
-    for (const CombOp& op : comb_ops_) values_[op.out] = eval_op(op);
+    for (const CombOp& op : net_->comb_ops) values_[op.out] = eval_op(op);
     return;
   }
 
@@ -325,7 +299,7 @@ void Simulator::eval_comb() {
     const bool seq_only = jit_dirty_seq_only_;
     jit_dirty_seq_only_ = true;
     const std::uint32_t from = jit_dirty_level_;
-    jit_dirty_level_ = static_cast<std::uint32_t>(level_count());
+    jit_dirty_level_ = static_cast<std::uint32_t>(net_->level_count());
     if (seq_only) {
       jit_kernel_->run_seq(values_.data());
     } else {
@@ -334,40 +308,12 @@ void Simulator::eval_comb() {
     return;
   }
 
-  // Drain levels in ascending order. A re-evaluated op only ever schedules
-  // ops at strictly higher levels (its fanout), so each level's arena span is
-  // complete by the time it is reached and every op runs at most once per
-  // delta. Re-reading level_fill_ each iteration keeps same-level growth
-  // (impossible by construction, but cheap) safe.
-  for (std::size_t level = 0; level < level_fill_.size(); ++level) {
-    const std::uint32_t base = level_start_[level];
-    const std::uint32_t count = level_start_[level + 1] - base;
-    if (level_fill_[level] == count) {
-      // Dense fast path: every op in the level is scheduled, so the arena
-      // holds a permutation of the level's own (contiguous) index range.
-      // Sweep the range directly — sequential op-table traversal, wholesale
-      // flag reset, no per-slot worklist bookkeeping.
-      std::fill_n(op_scheduled_.begin() + base, count, std::uint8_t{0});
-      for (std::uint32_t index = base; index < base + count; ++index) {
-        const CombOp& op = comb_ops_[index];
-        const std::uint64_t value = eval_op(op);
-        if (value == values_[op.out]) continue;
-        values_[op.out] = value;
-        schedule_fanout(op.out);
-      }
-    } else {
-      for (std::uint32_t i = 0; i < level_fill_[level]; ++i) {
-        const std::uint32_t index = level_arena_[base + i];
-        op_scheduled_[index] = 0;
-        const CombOp& op = comb_ops_[index];
-        const std::uint64_t value = eval_op(op);
-        if (value == values_[op.out]) continue;
-        values_[op.out] = value;
-        schedule_fanout(op.out);
-      }
-    }
-    level_fill_[level] = 0;
-  }
+  worklist_.drain([this](const CombOp& op) {
+    const std::uint64_t value = eval_op(op);
+    if (value == values_[op.out]) return false;
+    values_[op.out] = value;
+    return true;
+  });
 }
 
 void Simulator::commit_wire(WireId wire, unsigned width, std::uint64_t value) {
@@ -388,18 +334,18 @@ void Simulator::step() {
   ram_write_scratch_.clear();
   ram_sample_scratch_.clear();
 
-  for (const RegOp& op : reg_ops_) {
+  for (const RegOp& op : net_->reg_ops) {
     if (values_[op.en] != 0) {
       reg_scratch_.push_back({op.q, op.q_width, values_[op.d]});
     }
   }
-  for (const RamWriteOp& op : ram_write_ops_) {
+  for (const RamWriteOp& op : net_->ram_write_ops) {
     if (values_[op.en] != 0) {
       ram_write_scratch_.push_back(
           {op.mem, op.width, values_[op.addr], values_[op.data]});
     }
   }
-  for (const RamReadOp& op : ram_read_ops_) {
+  for (const RamReadOp& op : net_->ram_read_ops) {
     ram_sample_scratch_.push_back(
         {op.data, op.mem, values_[op.addr], values_[op.en] != 0});
   }
@@ -426,9 +372,16 @@ void Simulator::step() {
 
 Result<std::uint64_t> Simulator::run_until(std::string_view port_name,
                                            std::uint64_t max_cycles) {
+  const WireId done = module_.port_wire(port_name);
+  if (done == kNoWire) {
+    return Status::Error(ErrorCode::kNotFound,
+                         format("no port named %.*s",
+                                static_cast<int>(port_name.size()),
+                                port_name.data()));
+  }
   const std::uint64_t start = cycles_;
   eval_comb();  // lazy: settles only if an input changed since the last settle
-  while (get_output(port_name) == 0) {
+  while (values_[done] == 0) {
     if (cycles_ - start >= max_cycles) {
       return Status::Error(
           ErrorCode::kDeadlineExceeded,
@@ -448,15 +401,12 @@ void Simulator::corrupt_wire(WireId wire, unsigned bit) {
   values_[wire] ^= 1ULL << bit;
   comb_dirty_ = true;
   if (active_backend_ == SimBackend::kEvent) {
-    // If a comb cell drives this wire the next settle recomputes it (erasing
-    // the flip, as the full sweep does); the driver sits at a lower level
-    // than the fanout, so dependents observe the recomputed value.
-    if (comb_driver_[wire] != kNoCombOp) schedule_op(comb_driver_[wire]);
-    schedule_fanout(wire);
+    worklist_.schedule_flip(wire);
   } else if (active_backend_ == SimBackend::kJit) {
-    std::uint32_t level = wire_min_level_[wire];
-    if (comb_driver_[wire] != kNoCombOp) {
-      level = std::min(level, comb_ops_[comb_driver_[wire]].level);
+    const CompiledNetlist& net = *net_;
+    std::uint32_t level = net.wire_min_level[wire];
+    if (net.comb_driver[wire] != kNoCombOp) {
+      level = std::min(level, net.comb_ops[net.comb_driver[wire]].level);
     }
     jit_dirty_level_ = std::min(jit_dirty_level_, level);
     // A flipped wire may sit outside the sequential cone (a comb-driven wire
@@ -466,10 +416,7 @@ void Simulator::corrupt_wire(WireId wire, unsigned bit) {
 }
 
 std::vector<WireId> Simulator::register_outputs() const {
-  std::vector<WireId> outputs;
-  outputs.reserve(reg_ops_.size());
-  for (const RegOp& op : reg_ops_) outputs.push_back(op.q);
-  return outputs;
+  return net_->register_outputs();
 }
 
 std::uint64_t Simulator::read_memory(std::size_t mem, std::size_t addr) const {

@@ -6,7 +6,12 @@
 // settle in topological order, then sequential cells (registers, RAM ports)
 // commit on the clock edge.
 //
-// Three engines share one compiled representation (see docs/SIMULATOR.md):
+// compile_netlist() turns a Module into one immutable CompiledNetlist: the
+// cells flattened into a contiguous comb op table with pre-resolved wire ids,
+// cached widths and truncation masks, sorted by topological level so a
+// level's ops are contiguous; the sequential ops with their widths; and the
+// level and per-wire fanout CSRs. Every engine runs that one form (see
+// docs/SIMULATOR.md):
 //  * JIT (SimBackend::kJit, the default): each topological level — plus the
 //    full-sweep step and the sequential cone — is lowered through a small
 //    machine-IR to straight-line native x86-64 code operating directly on
@@ -18,21 +23,19 @@
 //    way, and active_backend() reports which engine runs.
 //  * event-driven interpreter (SimBackend::kEvent): the fallback, and the
 //    oracle wherever one simulator checks another (the serial SEU campaign
-//    runner) or only supplies tables (SlicedSimulator). At construction the
-//    cells are flattened into a contiguous op table with pre-resolved wire
-//    ids, cached widths and truncation masks, each comb op is assigned a
-//    topological level (the table is sorted so a level's ops are
-//    contiguous), and per-wire fanout lists are built. A settle then only
-//    re-evaluates the cells reachable from wires that actually changed
-//    (inputs, corrupted wires, committed registers / RAM samples), drained
-//    level by level so every cell runs at most once per delta. A level whose
-//    scheduled count reaches its op count is swept directly — dense toggling
-//    pays no worklist bookkeeping.
+//    runner). A settle only re-evaluates the cells reachable from wires that
+//    actually changed (inputs, corrupted wires, committed registers / RAM
+//    samples), drained level by level through an EventWorklist so every cell
+//    runs at most once per delta. A level whose scheduled count reaches its
+//    op count is swept directly — dense toggling pays no worklist
+//    bookkeeping. The bit-sliced engine (hw/sim_sliced.hpp) drives the same
+//    worklist over its slice words.
 //  * full-sweep oracle (SimBackend::kSweep): re-evaluates the whole op table
 //    in topological order per settle. Kept as the differential-testing
 //    reference; all engines are bit-identical.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -42,8 +45,6 @@
 #include "hw/netlist.hpp"
 
 namespace hermes::hw {
-
-class SlicedSimulator;
 
 namespace jit {
 class JitKernel;
@@ -71,43 +72,146 @@ struct CombOp {
   CellKind kind = CellKind::kConst;
   std::uint8_t out_width = 0;
   std::uint16_t input_count = 0;
-  std::uint32_t first_input = 0;  ///< index into op_inputs_ / op_input_widths_
+  std::uint32_t first_input = 0;  ///< index into op_inputs / op_input_widths
   std::uint32_t level = 0;
   WireId out = kNoWire;
   std::uint64_t out_mask = 0;
   std::uint64_t param = 0;
 };
+/// Sequential cells, with every wire width an engine reads at the clock edge.
 struct RegOp {
   WireId d = kNoWire, en = kNoWire, q = kNoWire;
-  unsigned q_width = 0;
-  std::uint64_t reset_value = 0;
+  std::uint8_t d_width = 0, en_width = 0, q_width = 0;
+  std::uint64_t reset_value = 0;  ///< already truncated to q_width
 };
 struct RamReadOp {
   WireId addr = kNoWire, en = kNoWire, data = kNoWire;
   std::uint32_t mem = 0;
+  std::uint8_t addr_width = 0, en_width = 0, data_width = 0;
 };
 struct RamWriteOp {
   WireId addr = kNoWire, data = kNoWire, en = kNoWire;
   std::uint32_t mem = 0;
-  unsigned width = 0;
+  std::uint8_t addr_width = 0, data_width = 0, en_width = 0;
+  std::uint8_t width = 0;  ///< the memory's word width
 };
 
-/// Borrowed view of a simulator's compiled level-sorted op table — the input
-/// of the JIT lowering pass (src/hw/jit/mir.hpp). Level l's ops occupy
-/// indices [level_start[l], level_start[l + 1]).
-struct OpTableView {
-  const CombOp* ops = nullptr;
-  std::size_t op_count = 0;
-  const WireId* inputs = nullptr;             ///< flat op input wires
-  const std::uint8_t* input_widths = nullptr; ///< cached input widths
-  const std::uint32_t* level_start = nullptr; ///< level_count + 1 offsets
-  std::size_t level_count = 0;
+/// The compiled form of a Module that every engine runs: the event and sweep
+/// interpreters, the JIT lowering (src/hw/jit/) and the bit-sliced engine.
+/// Immutable once built.
+struct CompiledNetlist {
+  std::vector<CombOp> comb_ops;               ///< sorted by (level, topo order)
+  std::vector<WireId> op_inputs;              ///< flat comb op input wires
+  std::vector<std::uint8_t> op_input_widths;  ///< their cached widths
+  std::vector<RegOp> reg_ops;
+  std::vector<RamReadOp> ram_read_ops;
+  std::vector<RamWriteOp> ram_write_ops;
+  std::vector<WireId> seq_outputs;  ///< register q / RAM read data wires
+  /// Level CSR: level l's ops are comb_ops[level_start[l], level_start[l+1]).
+  std::vector<std::uint32_t> level_start;
+  /// Fanout CSR: the comb ops consuming wire w (each op once) are
+  /// fanout_ops[fanout_offsets[w], fanout_offsets[w + 1]).
+  std::vector<std::uint32_t> fanout_offsets;
+  std::vector<std::uint32_t> fanout_ops;
+  std::vector<std::uint32_t> comb_driver;     ///< wire -> comb op or kNoCombOp
+  std::vector<std::uint32_t> wire_min_level;  ///< lowest consumer level
   std::size_t wire_count = 0;
-  /// Sequential output wires (register q, RAM read data): the roots of the
-  /// compiled sequential-cone function the JIT settles with after a clock
-  /// edge when no other wire changed.
-  const WireId* seq_outputs = nullptr;
-  std::size_t seq_output_count = 0;
+
+  [[nodiscard]] std::size_t level_count() const {
+    return level_start.empty() ? 0 : level_start.size() - 1;
+  }
+  /// Output wires of every register cell, in cell order.
+  [[nodiscard]] std::vector<WireId> register_outputs() const;
+};
+
+/// Validates and compiles `module`. Fails on a combinational loop.
+Result<std::shared_ptr<const CompiledNetlist>> compile_netlist(
+    const Module& module);
+
+/// The per-level event worklist over a CompiledNetlist, driven by both the
+/// event interpreter and the bit-sliced engine. The worklists live in one
+/// flat scratch arena: level l owns the slots [level_start[l],
+/// level_start[l+1]) — as many as it has ops — and fills level_fill_[l] of
+/// them, so scheduling an op is one store plus one cursor bump and the hot
+/// settle path never touches the heap.
+class EventWorklist {
+ public:
+  EventWorklist() = default;
+  /// `net` must outlive the worklist.
+  explicit EventWorklist(const CompiledNetlist& net)
+      : net_(&net),
+        level_fill_(net.level_count(), 0),
+        level_arena_(net.comb_ops.size(), 0),
+        op_scheduled_(net.comb_ops.size(), 0) {}
+
+  void schedule_op(std::uint32_t op) {
+    if (op_scheduled_[op]) return;
+    op_scheduled_[op] = 1;
+    const std::uint32_t level = net_->comb_ops[op].level;
+    level_arena_[net_->level_start[level] + level_fill_[level]++] = op;
+  }
+
+  /// Schedules every comb op that consumes `wire`.
+  void schedule_fanout(WireId wire) {
+    const std::uint32_t end = net_->fanout_offsets[wire + 1];
+    for (std::uint32_t i = net_->fanout_offsets[wire]; i < end; ++i) {
+      schedule_op(net_->fanout_ops[i]);
+    }
+  }
+
+  /// Schedules a bit-flipped wire: its fanout, and its comb driver if it has
+  /// one, so the next drain recomputes the wire (erasing the flip, as a full
+  /// sweep would); the driver sits below the fanout, so dependents read the
+  /// recomputed value.
+  void schedule_flip(WireId wire) {
+    if (net_->comb_driver[wire] != kNoCombOp) {
+      schedule_op(net_->comb_driver[wire]);
+    }
+    schedule_fanout(wire);
+  }
+
+  /// Drops everything scheduled.
+  void clear() {
+    std::fill(level_fill_.begin(), level_fill_.end(), 0);
+    std::fill(op_scheduled_.begin(), op_scheduled_.end(), 0);
+  }
+
+  /// Drains the levels in ascending order. `update(op)` re-evaluates one op,
+  /// commits its output and returns true if the output changed; the drain
+  /// then schedules that output's fanout. A re-evaluated op only schedules
+  /// ops at strictly higher levels, so each level is complete when reached
+  /// and every op runs at most once per drain. A level whose ops are all
+  /// scheduled is swept directly over its contiguous op range — ops of one
+  /// level never read each other, so the order inside a level is free.
+  template <typename Update>
+  void drain(Update&& update) {
+    const CompiledNetlist& net = *net_;
+    for (std::size_t level = 0; level < level_fill_.size(); ++level) {
+      const std::uint32_t base = net.level_start[level];
+      const std::uint32_t count = net.level_start[level + 1] - base;
+      if (level_fill_[level] == count) {
+        std::fill_n(op_scheduled_.begin() + base, count, std::uint8_t{0});
+        for (std::uint32_t index = base; index < base + count; ++index) {
+          const CombOp& op = net.comb_ops[index];
+          if (update(op)) schedule_fanout(op.out);
+        }
+      } else {
+        for (std::uint32_t i = 0; i < level_fill_[level]; ++i) {
+          const std::uint32_t index = level_arena_[base + i];
+          op_scheduled_[index] = 0;
+          const CombOp& op = net.comb_ops[index];
+          if (update(op)) schedule_fanout(op.out);
+        }
+      }
+      level_fill_[level] = 0;
+    }
+  }
+
+ private:
+  const CompiledNetlist* net_ = nullptr;
+  std::vector<std::uint32_t> level_fill_;   ///< per-level scheduled count
+  std::vector<std::uint32_t> level_arena_;  ///< scheduled op ids, by level
+  std::vector<std::uint8_t> op_scheduled_;
 };
 
 class Simulator {
@@ -144,11 +248,13 @@ class Simulator {
   /// Runs until `port_name` (1-bit output, e.g. "done") reads 1, at most
   /// `max_cycles` cycles. Returns the number of cycles consumed, or
   /// kDeadlineExceeded if the bound was hit (a stuck circuit ends in an
-  /// error, never a hang).
+  /// error, never a hang), or kNotFound for an unknown port.
   Result<std::uint64_t> run_until(std::string_view port_name,
                                   std::uint64_t max_cycles);
 
   [[nodiscard]] std::uint64_t get(WireId wire) const { return values_.at(wire); }
+  /// Throws std::out_of_range for an unknown port, as get() does for an
+  /// unknown wire.
   [[nodiscard]] std::uint64_t get_output(std::string_view port_name) const;
 
   [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
@@ -171,11 +277,6 @@ class Simulator {
   [[nodiscard]] const Module& module() const { return module_; }
 
  private:
-  /// The bit-sliced 64-replica engine reuses this engine's compiled op table,
-  /// fanout CSR and level schedule instead of rebuilding them.
-  friend class SlicedSimulator;
-
-  void build_tables();
   [[nodiscard]] std::uint64_t eval_op(const CombOp& op) const;
   /// Marks a changed wire: dirty flag (sweep), fanout scheduling (event) or
   /// dirty-level lowering (JIT). `sequential` is true only for clock-edge
@@ -183,42 +284,16 @@ class Simulator {
   /// JIT backend settles with the compiled sequential-cone function instead
   /// of a full level resume.
   void mark_wire_changed(WireId wire, bool sequential = false);
-  void schedule_op(std::uint32_t op_index);
-  void schedule_fanout(WireId wire);
   /// Writes a sequential value; propagates only if it actually changed.
   void commit_wire(WireId wire, unsigned width, std::uint64_t value);
-
-  [[nodiscard]] OpTableView op_table_view() const;
-  [[nodiscard]] std::size_t level_count() const { return level_fill_.size(); }
 
   const Module& module_;
   SimOptions options_;
   SimBackend active_backend_ = SimBackend::kEvent;
   Status status_;
 
-  // Compiled op table (SoA), sorted by (level, topological order).
-  std::vector<CombOp> comb_ops_;
-  std::vector<WireId> op_inputs_;             ///< flat input wires
-  std::vector<std::uint8_t> op_input_widths_; ///< cached input widths
-  std::vector<RegOp> reg_ops_;
-  std::vector<RamReadOp> ram_read_ops_;
-  std::vector<RamWriteOp> ram_write_ops_;
-  std::vector<WireId> seq_output_wires_;  ///< register q / RAM read data wires
-
-  // Event machinery: wire -> consuming comb ops (CSR), wire -> driving comb
-  // op, per-level worklists. The worklists live in one flat CSR-style scratch
-  // arena (each level owns the slot range [level_start_[l], level_start_[l+1])
-  // and fills level_fill_[l] of it), so the hot settle path never touches the
-  // heap: an op is scheduled by one store + one cursor bump, and draining a
-  // level resets its cursor instead of clearing a vector. Because the op
-  // table is level-sorted, the same offsets delimit each level's ops.
-  std::vector<std::uint32_t> fanout_offsets_;
-  std::vector<std::uint32_t> fanout_ops_;
-  std::vector<std::uint32_t> comb_driver_;
-  std::vector<std::uint32_t> level_start_;  ///< per-level arena offsets (CSR)
-  std::vector<std::uint32_t> level_fill_;   ///< per-level scheduled count
-  std::vector<std::uint32_t> level_arena_;  ///< scheduled op ids, by level
-  std::vector<std::uint8_t> op_scheduled_;
+  std::shared_ptr<const CompiledNetlist> net_;
+  EventWorklist worklist_;  ///< kEvent only
   bool comb_dirty_ = false;
 
   // JIT backend state: the cached kernel plus the lowest level any changed
@@ -226,9 +301,8 @@ class Simulator {
   // above it (evaluating an op whose inputs did not change is idempotent,
   // so whole-level granularity preserves event semantics exactly).
   std::shared_ptr<const jit::JitKernel> jit_kernel_;
-  std::vector<std::uint32_t> wire_min_level_;  ///< min consumer level per wire
-  std::uint32_t jit_dirty_level_ = 0;          ///< level_count() = clean
-  bool jit_dirty_seq_only_ = true;  ///< all dirt since settle is clock-edge
+  std::uint32_t jit_dirty_level_ = 0;  ///< level_count() = clean
+  bool jit_dirty_seq_only_ = true;     ///< all dirt since settle is clock-edge
 
   std::vector<std::uint64_t> values_;     ///< current wire values
   std::vector<std::vector<std::uint64_t>> mem_state_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "common/bits.hpp"
 #include "hw/sim_eval.hpp"
@@ -18,93 +19,78 @@ constexpr std::uint64_t spread(std::uint64_t bit) {
 /// Broadcast of lane 0's bit of a slice word — the golden reference word.
 constexpr std::uint64_t golden_of(std::uint64_t word) { return spread(word); }
 
-}  // namespace
-
-// base_ only lends its op table and schedule; pinning the interpreter keeps
-// it from taking a kernel-cache lookup and a JIT settle it never uses.
-SlicedSimulator::SlicedSimulator(const Module& module)
-    : base_(module, SimOptions{.backend = SimBackend::kEvent}) {
-  if (!status().ok()) return;
-  build_lanes();
-  reset();
+/// One lane's value of a `width`-word slice group.
+std::uint64_t extract_lane(const std::uint64_t* words, unsigned width,
+                           unsigned lane) {
+  std::uint64_t value = 0;
+  for (unsigned b = 0; b < width; ++b) {
+    value |= ((words[b] >> lane) & 1) << b;
+  }
+  return value;
 }
 
-void SlicedSimulator::build_lanes() {
-  const Module& m = module();
+/// Lane mask of a slice group's nonzero lanes (a per-lane enable).
+std::uint64_t nonzero_lanes(const std::uint64_t* words, unsigned width) {
+  std::uint64_t any = 0;
+  for (unsigned b = 0; b < width; ++b) any |= words[b];
+  return any;
+}
+
+/// True when every lane of a slice group holds lane 0's value, stored in
+/// `*lane0` — the lane-uniform RAM address fast path.
+bool lane_uniform(const std::uint64_t* words, unsigned width,
+                  std::uint64_t* lane0) {
+  std::uint64_t diverged = 0;
+  *lane0 = 0;
+  for (unsigned b = 0; b < width; ++b) {
+    diverged |= words[b] ^ golden_of(words[b]);
+    *lane0 |= (words[b] & 1) << b;
+  }
+  return diverged == 0;
+}
+
+}  // namespace
+
+SlicedSimulator::SlicedSimulator(const Module& module) : module_(module) {
+  auto net = compile_netlist(module);
+  if (!net.ok()) {
+    status_ = net.status();
+    return;
+  }
+  net_ = net.take();
+  worklist_ = EventWorklist(*net_);
 
   // Wire slice arena: wire_width words per wire.
-  slice_off_.assign(m.wire_count() + 1, 0);
-  for (std::size_t w = 0; w < m.wire_count(); ++w) {
+  slice_off_.assign(module.wire_count() + 1, 0);
+  for (std::size_t w = 0; w < module.wire_count(); ++w) {
     slice_off_[w + 1] =
-        slice_off_[w] + m.wire_width(static_cast<WireId>(w));
+        slice_off_[w] + module.wire_width(static_cast<WireId>(w));
   }
   slices_.assign(slice_off_.back(), 0);
 
   // Memory slice arena: depth * width words per memory.
-  mem_off_.assign(m.memories().size() + 1, 0);
-  for (std::size_t i = 0; i < m.memories().size(); ++i) {
-    const Memory& mem = m.memories()[i];
+  mem_off_.assign(module.memories().size() + 1, 0);
+  for (std::size_t i = 0; i < module.memories().size(); ++i) {
+    const Memory& mem = module.memories()[i];
     mem_off_[i + 1] = mem_off_[i] +
                       static_cast<std::uint32_t>(mem.depth * mem.width);
   }
   mem_slices_.assign(mem_off_.back(), 0);
 
-  // Sequential ops with cached widths and scratch offsets. Scratch layout:
-  // regs sample q' (q_width words each); RAM reads sample addr + en_nz;
-  // RAM writes sample addr + data (already truncated to mem width) + en_nz.
-  std::uint32_t scratch = 0;
-  regs_.reserve(base_.reg_ops_.size());
-  for (const RegOp& op : base_.reg_ops_) {
-    SlicedReg reg;
-    reg.d = op.d;
-    reg.en = op.en;
-    reg.q = op.q;
-    reg.d_width = static_cast<std::uint8_t>(m.wire_width(op.d));
-    reg.en_width = static_cast<std::uint8_t>(m.wire_width(op.en));
-    reg.q_width = static_cast<std::uint8_t>(op.q_width);
-    reg.reset_value = truncate(op.reset_value, op.q_width);
-    reg.scratch = scratch;
-    scratch += reg.q_width;
-    regs_.push_back(reg);
+  std::size_t scratch = 0;
+  for (const RegOp& reg : net_->reg_ops) scratch += reg.q_width;
+  for (const RamWriteOp& wr : net_->ram_write_ops) {
+    scratch += wr.addr_width + wr.width + 1;
   }
-  ram_reads_.reserve(base_.ram_read_ops_.size());
-  for (const RamReadOp& op : base_.ram_read_ops_) {
-    SlicedRamRead rd;
-    rd.addr = op.addr;
-    rd.en = op.en;
-    rd.data = op.data;
-    rd.mem = op.mem;
-    rd.addr_width = static_cast<std::uint8_t>(m.wire_width(op.addr));
-    rd.en_width = static_cast<std::uint8_t>(m.wire_width(op.en));
-    rd.data_width = static_cast<std::uint8_t>(m.wire_width(op.data));
-    rd.scratch = scratch;
-    scratch += rd.addr_width + 1;
-    ram_reads_.push_back(rd);
-  }
-  ram_writes_.reserve(base_.ram_write_ops_.size());
-  for (const RamWriteOp& op : base_.ram_write_ops_) {
-    SlicedRamWrite wr;
-    wr.addr = op.addr;
-    wr.data = op.data;
-    wr.en = op.en;
-    wr.mem = op.mem;
-    wr.addr_width = static_cast<std::uint8_t>(m.wire_width(op.addr));
-    wr.mem_width = static_cast<std::uint8_t>(op.width);
-    wr.scratch = scratch;
-    scratch += wr.addr_width + wr.mem_width + 1;
-    ram_writes_.push_back(wr);
-  }
+  for (const RamReadOp& rd : net_->ram_read_ops) scratch += rd.addr_width + 1;
   seq_scratch_.assign(scratch, 0);
-
-  level_fill_.assign(base_.level_fill_.size(), 0);
-  level_arena_.assign(base_.level_arena_.size(), 0);
-  op_scheduled_.assign(base_.comb_ops_.size(), 0);
+  reset();
 }
 
 void SlicedSimulator::reset() {
   cycles_ = 0;
   std::fill(slices_.begin(), slices_.end(), 0);
-  for (const SlicedReg& reg : regs_) {
+  for (const RegOp& reg : net_->reg_ops) {
     std::uint64_t* q = slices_.data() + slice_off_[reg.q];
     for (unsigned b = 0; b < reg.q_width; ++b) {
       q[b] = spread(reg.reset_value >> b);
@@ -123,9 +109,8 @@ void SlicedSimulator::reset() {
     }
   }
   // Full settle from scratch, in topological order.
-  std::fill(level_fill_.begin(), level_fill_.end(), 0);
-  std::fill(op_scheduled_.begin(), op_scheduled_.end(), 0);
-  for (const CombOp& op : base_.comb_ops_) {
+  worklist_.clear();
+  for (const CombOp& op : net_->comb_ops) {
     eval_op_sliced(op, slices_.data() + slice_off_[op.out]);
   }
   comb_dirty_ = false;
@@ -134,30 +119,20 @@ void SlicedSimulator::reset() {
 std::uint64_t SlicedSimulator::input_word(const CombOp& op,
                                           std::size_t index,
                                           unsigned b) const {
-  const WireId wire = base_.op_inputs_[op.first_input + index];
-  const std::uint8_t width = base_.op_input_widths_[op.first_input + index];
+  const WireId wire = net_->op_inputs[op.first_input + index];
+  const std::uint8_t width = net_->op_input_widths[op.first_input + index];
   return b < width ? slices_[slice_off_[wire] + b] : 0;
 }
 
-std::uint64_t SlicedSimulator::extract_lane_raw(const std::uint64_t* words,
-                                                unsigned width,
-                                                unsigned lane) const {
-  std::uint64_t value = 0;
-  for (unsigned b = 0; b < width; ++b) {
-    value |= ((words[b] >> lane) & 1) << b;
-  }
-  return value;
-}
-
 std::uint64_t SlicedSimulator::get_lane(WireId wire, unsigned lane) const {
-  return extract_lane_raw(slices_.data() + slice_off_[wire],
-                          module().wire_width(wire), lane);
+  return extract_lane(slices_.data() + slice_off_[wire],
+                      module().wire_width(wire), lane);
 }
 
 std::uint64_t SlicedSimulator::get_output_lane(std::string_view port_name,
                                                unsigned lane) const {
   const WireId wire = module().port_wire(port_name);
-  assert(wire != kNoWire && "unknown output port");
+  if (wire == kNoWire) throw std::out_of_range("unknown output port");
   return get_lane(wire, lane);
 }
 
@@ -174,9 +149,8 @@ std::uint64_t SlicedSimulator::read_memory_lane(std::size_t mem,
                                                 unsigned lane) const {
   const Memory& memory = module().memories().at(mem);
   if (addr >= memory.depth) return 0;
-  return extract_lane_raw(
-      mem_slices_.data() + mem_off_[mem] + addr * memory.width, memory.width,
-      lane);
+  return extract_lane(mem_slices_.data() + mem_off_[mem] + addr * memory.width,
+                      memory.width, lane);
 }
 
 void SlicedSimulator::write_memory(std::size_t mem, std::size_t addr,
@@ -199,7 +173,7 @@ void SlicedSimulator::write_memory(std::size_t mem, std::size_t addr,
 /// semantics, broadcast, then patch only the diverging lanes.
 void SlicedSimulator::eval_op_fallback(const CombOp& op,
                                        std::uint64_t* out) const {
-  const std::uint8_t* widths = base_.op_input_widths_.data() + op.first_input;
+  const std::uint8_t* widths = net_->op_input_widths.data() + op.first_input;
   const unsigned W = op.out_width;
 
   // Lanes whose inputs differ from lane 0.
@@ -216,9 +190,9 @@ void SlicedSimulator::eval_op_fallback(const CombOp& op,
   assert(op.input_count <= 4);
   const auto eval_lane = [&](unsigned lane) {
     for (std::size_t i = 0; i < op.input_count; ++i) {
-      const WireId wire = base_.op_inputs_[op.first_input + i];
-      lane_in[i] = extract_lane_raw(slices_.data() + slice_off_[wire],
-                                    widths[i], lane);
+      const WireId wire = net_->op_inputs[op.first_input + i];
+      lane_in[i] =
+          extract_lane(slices_.data() + slice_off_[wire], widths[i], lane);
     }
     return eval_comb_cell(
         op.kind, op.param, op.out_mask,
@@ -242,7 +216,7 @@ void SlicedSimulator::eval_op_fallback(const CombOp& op,
 
 void SlicedSimulator::eval_op_sliced(const CombOp& op,
                                      std::uint64_t* out) const {
-  const std::uint8_t* widths = base_.op_input_widths_.data() + op.first_input;
+  const std::uint8_t* widths = net_->op_input_widths.data() + op.first_input;
   const unsigned W = op.out_width;
   const auto in = [&](std::size_t i, unsigned b) {
     return input_word(op, i, b);
@@ -442,39 +416,10 @@ bool SlicedSimulator::apply_op(const CombOp& op) {
   return changed;
 }
 
-void SlicedSimulator::schedule_op(std::uint32_t op_index) {
-  if (op_scheduled_[op_index]) return;
-  op_scheduled_[op_index] = 1;
-  const std::uint32_t level = base_.comb_ops_[op_index].level;
-  level_arena_[base_.level_start_[level] + level_fill_[level]++] = op_index;
-}
-
-void SlicedSimulator::schedule_fanout(WireId wire) {
-  const std::uint32_t begin = base_.fanout_offsets_[wire];
-  const std::uint32_t end = base_.fanout_offsets_[wire + 1];
-  for (std::uint32_t i = begin; i < end; ++i) {
-    schedule_op(base_.fanout_ops_[i]);
-  }
-}
-
-void SlicedSimulator::mark_wire_changed(WireId wire) {
-  comb_dirty_ = true;
-  schedule_fanout(wire);
-}
-
 void SlicedSimulator::eval_comb() {
   if (!comb_dirty_) return;
   comb_dirty_ = false;
-  for (std::size_t level = 0; level < level_fill_.size(); ++level) {
-    const std::uint32_t base = base_.level_start_[level];
-    for (std::uint32_t i = 0; i < level_fill_[level]; ++i) {
-      const std::uint32_t index = level_arena_[base + i];
-      op_scheduled_[index] = 0;
-      const CombOp& op = base_.comb_ops_[index];
-      if (apply_op(op)) schedule_fanout(op.out);
-    }
-    level_fill_[level] = 0;
-  }
+  worklist_.drain([this](const CombOp& op) { return apply_op(op); });
 }
 
 void SlicedSimulator::set_input(std::string_view port_name,
@@ -492,7 +437,10 @@ void SlicedSimulator::set_input(std::string_view port_name,
       changed = true;
     }
   }
-  if (changed) mark_wire_changed(wire);
+  if (changed) {
+    comb_dirty_ = true;
+    worklist_.schedule_fanout(wire);
+  }
 }
 
 void SlicedSimulator::corrupt_wire(WireId wire, unsigned bit,
@@ -501,12 +449,7 @@ void SlicedSimulator::corrupt_wire(WireId wire, unsigned bit,
   if (bit >= module().wire_width(wire)) return;
   slices_[slice_off_[wire] + bit] ^= lane_mask;
   comb_dirty_ = true;
-  // Mirror Simulator::corrupt_wire: a comb-driven wire is recomputed at the
-  // next settle (erasing the flip); dependents see the settled value.
-  if (base_.comb_driver_[wire] != kNoCombOp) {
-    schedule_op(base_.comb_driver_[wire]);
-  }
-  schedule_fanout(wire);
+  worklist_.schedule_flip(wire);
 }
 
 // ---------------------------------------------------------------------------
@@ -515,158 +458,129 @@ void SlicedSimulator::corrupt_wire(WireId wire, unsigned bit,
 
 void SlicedSimulator::step() {
   eval_comb();
+  const CompiledNetlist& net = *net_;
+  const auto wire_slices = [this](WireId wire) {
+    return slices_.data() + slice_off_[wire];
+  };
+  const auto commit = [this](WireId wire, std::uint64_t* cur,
+                             const std::uint64_t* next, unsigned width) {
+    bool changed = false;
+    for (unsigned b = 0; b < width; ++b) {
+      changed |= cur[b] != next[b];
+      cur[b] = next[b];
+    }
+    if (changed) {
+      comb_dirty_ = true;
+      worklist_.schedule_fanout(wire);
+    }
+  };
 
   // Phase 1 — sample every sequential input before any commit, mirroring the
   // scalar engine's scratch buffers (a register's q may feed another's d, or
   // be a RAM port's address, directly).
-  for (const SlicedReg& reg : regs_) {
+  std::uint64_t* sample = seq_scratch_.data();
+  for (const RegOp& reg : net.reg_ops) {
     // Per-lane enable: lanes with en != 0 load d, the rest hold q.
-    std::uint64_t en = 0;
-    const std::uint64_t* en_s = slices_.data() + slice_off_[reg.en];
-    for (unsigned b = 0; b < reg.en_width; ++b) en |= en_s[b];
-    const std::uint64_t* d = slices_.data() + slice_off_[reg.d];
-    const std::uint64_t* q = slices_.data() + slice_off_[reg.q];
-    std::uint64_t* sample = seq_scratch_.data() + reg.scratch;
+    const std::uint64_t en = nonzero_lanes(wire_slices(reg.en), reg.en_width);
+    const std::uint64_t* d = wire_slices(reg.d);
+    const std::uint64_t* q = wire_slices(reg.q);
     for (unsigned b = 0; b < reg.q_width; ++b) {
       const std::uint64_t db = b < reg.d_width ? d[b] : 0;
       sample[b] = (en & db) | (~en & q[b]);
     }
+    sample += reg.q_width;
   }
-  for (const SlicedRamWrite& wr : ram_writes_) {
-    std::uint64_t* sample = seq_scratch_.data() + wr.scratch;
-    const std::uint64_t* addr = slices_.data() + slice_off_[wr.addr];
-    for (unsigned b = 0; b < wr.addr_width; ++b) sample[b] = addr[b];
-    const std::uint64_t* data = slices_.data() + slice_off_[wr.data];
-    const unsigned data_width = module().wire_width(wr.data);
-    for (unsigned b = 0; b < wr.mem_width; ++b) {
-      sample[wr.addr_width + b] = b < data_width ? data[b] : 0;
+  for (const RamWriteOp& wr : net.ram_write_ops) {
+    std::copy_n(wire_slices(wr.addr), wr.addr_width, sample);
+    const std::uint64_t* data = wire_slices(wr.data);
+    for (unsigned b = 0; b < wr.width; ++b) {
+      sample[wr.addr_width + b] = b < wr.data_width ? data[b] : 0;
     }
-    std::uint64_t en = 0;
-    const std::uint64_t* en_s = slices_.data() + slice_off_[wr.en];
-    for (unsigned b = 0; b < module().wire_width(wr.en); ++b) en |= en_s[b];
-    sample[wr.addr_width + wr.mem_width] = en;
+    sample[wr.addr_width + wr.width] =
+        nonzero_lanes(wire_slices(wr.en), wr.en_width);
+    sample += wr.addr_width + wr.width + 1;
   }
-  for (const SlicedRamRead& rd : ram_reads_) {
-    std::uint64_t* sample = seq_scratch_.data() + rd.scratch;
-    const std::uint64_t* addr = slices_.data() + slice_off_[rd.addr];
-    for (unsigned b = 0; b < rd.addr_width; ++b) sample[b] = addr[b];
-    std::uint64_t en = 0;
-    const std::uint64_t* en_s = slices_.data() + slice_off_[rd.en];
-    for (unsigned b = 0; b < rd.en_width; ++b) en |= en_s[b];
-    sample[rd.addr_width] = en;
+  for (const RamReadOp& rd : net.ram_read_ops) {
+    std::copy_n(wire_slices(rd.addr), rd.addr_width, sample);
+    sample[rd.addr_width] = nonzero_lanes(wire_slices(rd.en), rd.en_width);
+    sample += rd.addr_width + 1;
   }
 
   // Phase 2 — commit registers.
-  for (const SlicedReg& reg : regs_) {
-    const std::uint64_t* sample = seq_scratch_.data() + reg.scratch;
-    std::uint64_t* q = slices_.data() + slice_off_[reg.q];
-    bool changed = false;
-    for (unsigned b = 0; b < reg.q_width; ++b) {
-      if (q[b] != sample[b]) {
-        q[b] = sample[b];
-        changed = true;
-      }
-    }
-    if (changed) mark_wire_changed(reg.q);
+  sample = seq_scratch_.data();
+  for (const RegOp& reg : net.reg_ops) {
+    commit(reg.q, wire_slices(reg.q), sample, reg.q_width);
+    sample += reg.q_width;
   }
 
   // Phase 3 — commit RAM writes (write-first: reads below see new data).
-  for (const SlicedRamWrite& wr : ram_writes_) {
-    const std::uint64_t* sample = seq_scratch_.data() + wr.scratch;
-    const std::uint64_t en = sample[wr.addr_width + wr.mem_width];
+  for (const RamWriteOp& wr : net.ram_write_ops) {
+    const std::uint64_t* addr_s = sample;
+    const std::uint64_t* data = addr_s + wr.addr_width;
+    const std::uint64_t en = data[wr.width];
+    sample += wr.addr_width + wr.width + 1;
     if (en == 0) continue;
-    const Memory& memory = module().memories()[wr.mem];
-    const std::uint64_t* data = sample + wr.addr_width;
-
-    // Lane-uniform address (every slice word all-zeros or all-ones): one
-    // masked merge updates the word for all enabled lanes.
-    std::uint64_t nonuniform = 0, addr0 = 0;
-    for (unsigned b = 0; b < wr.addr_width; ++b) {
-      nonuniform |= sample[b] ^ golden_of(sample[b]);
-      addr0 |= (sample[b] & 1) << b;
-    }
-    if (nonuniform == 0) {
-      if (addr0 >= memory.depth) continue;  // OOB writes are dropped
-      std::uint64_t* word =
-          mem_slices_.data() + mem_off_[wr.mem] + addr0 * memory.width;
-      for (unsigned b = 0; b < wr.mem_width; ++b) {
-        word[b] = (en & data[b]) | (~en & word[b]);
+    const std::size_t depth = module_.memories()[wr.mem].depth;
+    std::uint64_t* words = mem_slices_.data() + mem_off_[wr.mem];
+    // Lane-uniform address: one masked merge updates the word for all
+    // enabled lanes. Otherwise (post-fault divergence) scatter lane by lane.
+    std::uint64_t addr = 0;
+    if (lane_uniform(addr_s, wr.addr_width, &addr)) {
+      if (addr < depth) {  // OOB writes are dropped
+        std::uint64_t* word = words + addr * wr.width;
+        for (unsigned b = 0; b < wr.width; ++b) {
+          word[b] = (en & data[b]) | (~en & word[b]);
+        }
       }
     } else {
-      // Post-fault divergence: scatter lane by lane.
-      std::uint64_t lanes = en;
-      while (lanes != 0) {
-        const unsigned lane =
-            static_cast<unsigned>(__builtin_ctzll(lanes));
-        lanes &= lanes - 1;
-        const std::uint64_t addr =
-            extract_lane_raw(sample, wr.addr_width, lane);
-        if (addr >= memory.depth) continue;
-        std::uint64_t* word =
-            mem_slices_.data() + mem_off_[wr.mem] + addr * memory.width;
+      for (std::uint64_t lanes = en; lanes != 0; lanes &= lanes - 1) {
+        const unsigned lane = static_cast<unsigned>(__builtin_ctzll(lanes));
+        addr = extract_lane(addr_s, wr.addr_width, lane);
+        if (addr >= depth) continue;
+        std::uint64_t* word = words + addr * wr.width;
         const std::uint64_t lane_bit = 1ULL << lane;
-        for (unsigned b = 0; b < wr.mem_width; ++b) {
+        for (unsigned b = 0; b < wr.width; ++b) {
           word[b] = (word[b] & ~lane_bit) | (((data[b] >> lane) & 1) << lane);
         }
       }
     }
   }
 
-  // Phase 4 — RAM read ports sample the (post-write) array.
-  for (const SlicedRamRead& rd : ram_reads_) {
-    const std::uint64_t* sample = seq_scratch_.data() + rd.scratch;
-    const std::uint64_t en = sample[rd.addr_width];
-    if (en == 0) continue;  // disabled lanes hold their data wire
-    const Memory& memory = module().memories()[rd.mem];
-    std::uint64_t* data = slices_.data() + slice_off_[rd.data];
-
-    std::uint64_t nonuniform = 0, addr0 = 0;
-    for (unsigned b = 0; b < rd.addr_width; ++b) {
-      nonuniform |= sample[b] ^ golden_of(sample[b]);
-      addr0 |= (sample[b] & 1) << b;
-    }
-    bool changed = false;
-    if (nonuniform == 0) {
-      const bool in_range = addr0 < memory.depth;
-      const std::uint64_t* word =
-          in_range
-              ? mem_slices_.data() + mem_off_[rd.mem] + addr0 * memory.width
-              : nullptr;
+  // Phase 4 — RAM read ports sample the (post-write) array; disabled lanes
+  // hold their data wire.
+  std::uint64_t next[64];
+  for (const RamReadOp& rd : net.ram_read_ops) {
+    const std::uint64_t* addr_s = sample;
+    const std::uint64_t en = addr_s[rd.addr_width];
+    sample += rd.addr_width + 1;
+    if (en == 0) continue;
+    const Memory& memory = module_.memories()[rd.mem];
+    const std::uint64_t* words = mem_slices_.data() + mem_off_[rd.mem];
+    std::uint64_t* data = wire_slices(rd.data);
+    std::copy_n(data, rd.data_width, next);
+    std::uint64_t addr = 0;
+    if (lane_uniform(addr_s, rd.addr_width, &addr)) {
+      const bool in_range = addr < memory.depth;  // OOB reads 0
       for (unsigned b = 0; b < rd.data_width; ++b) {
         const std::uint64_t mem_b =
-            (in_range && b < memory.width) ? word[b] : 0;  // OOB reads 0
-        const std::uint64_t merged = (en & mem_b) | (~en & data[b]);
-        if (data[b] != merged) {
-          data[b] = merged;
-          changed = true;
-        }
+            (in_range && b < memory.width) ? words[addr * memory.width + b] : 0;
+        next[b] = (en & mem_b) | (~en & data[b]);
       }
     } else {
-      std::uint64_t lanes = en;
-      while (lanes != 0) {
-        const unsigned lane =
-            static_cast<unsigned>(__builtin_ctzll(lanes));
-        lanes &= lanes - 1;
-        const std::uint64_t addr =
-            extract_lane_raw(sample, rd.addr_width, lane);
+      for (std::uint64_t lanes = en; lanes != 0; lanes &= lanes - 1) {
+        const unsigned lane = static_cast<unsigned>(__builtin_ctzll(lanes));
+        addr = extract_lane(addr_s, rd.addr_width, lane);
         const std::uint64_t value =
             addr < memory.depth
-                ? extract_lane_raw(mem_slices_.data() + mem_off_[rd.mem] +
-                                       addr * memory.width,
-                                   memory.width, lane)
+                ? extract_lane(words + addr * memory.width, memory.width, lane)
                 : 0;
         const std::uint64_t lane_bit = 1ULL << lane;
         for (unsigned b = 0; b < rd.data_width; ++b) {
-          const std::uint64_t merged =
-              (data[b] & ~lane_bit) | (((value >> b) & 1) << lane);
-          if (data[b] != merged) {
-            data[b] = merged;
-            changed = true;
-          }
+          next[b] = (next[b] & ~lane_bit) | (((value >> b) & 1) << lane);
         }
       }
     }
-    if (changed) mark_wire_changed(rd.data);
+    commit(rd.data, data, next, rd.data_width);
   }
 
   ++cycles_;

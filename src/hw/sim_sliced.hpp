@@ -20,12 +20,15 @@
 // replica); lane_divergence() XORs every lane against lane 0 in one pass, so
 // divergence detection and first-divergence extraction are bit scans.
 //
-// The engine reuses hw::Simulator's compiled representation (op table, fanout
-// CSR, levels) and mirrors its event-driven settle; the scalar engine remains
-// the differential oracle — per-lane values must match it bit-for-bit.
+// The engine runs the same hw::CompiledNetlist as the scalar engines (op
+// table, sequential ops, level and fanout CSRs) and settles through the same
+// EventWorklist as the event interpreter, with its own slice-word evaluate-
+// and-compare step. The scalar engine remains the differential oracle —
+// per-lane values must match it bit-for-bit.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -43,8 +46,8 @@ class SlicedSimulator {
   /// Compiles the module (fails on the same conditions as hw::Simulator).
   explicit SlicedSimulator(const Module& module);
 
-  [[nodiscard]] const Status& status() const { return base_.status(); }
-  [[nodiscard]] const Module& module() const { return base_.module(); }
+  [[nodiscard]] const Status& status() const { return status_; }
+  [[nodiscard]] const Module& module() const { return module_; }
   [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
 
   /// Synchronous reset of every lane: registers to reset values, memories to
@@ -63,6 +66,7 @@ class SlicedSimulator {
 
   /// Value of `wire` on one lane, reassembled from the slice words.
   [[nodiscard]] std::uint64_t get_lane(WireId wire, unsigned lane) const;
+  /// Throws std::out_of_range for an unknown port.
   [[nodiscard]] std::uint64_t get_output_lane(std::string_view port_name,
                                               unsigned lane) const;
 
@@ -91,48 +95,23 @@ class SlicedSimulator {
 
   /// Output wires of every register cell (same order as hw::Simulator).
   [[nodiscard]] std::vector<WireId> register_outputs() const {
-    return base_.register_outputs();
+    return net_->register_outputs();
   }
 
  private:
-  // Sequential ops re-compiled with the cached widths the sliced commit
-  // needs (the scalar engine reads widths from wire lookups instead).
-  struct SlicedReg {
-    WireId d = kNoWire, en = kNoWire, q = kNoWire;
-    std::uint8_t d_width = 0, en_width = 0, q_width = 0;
-    std::uint32_t scratch = 0;  ///< offset of the sampled q' slice words
-    std::uint64_t reset_value = 0;
-  };
-  struct SlicedRamRead {
-    WireId addr = kNoWire, en = kNoWire, data = kNoWire;
-    std::uint32_t mem = 0;
-    std::uint8_t addr_width = 0, en_width = 0, data_width = 0;
-    std::uint32_t scratch = 0;  ///< sampled addr words + 1 en_nz word
-  };
-  struct SlicedRamWrite {
-    WireId addr = kNoWire, data = kNoWire, en = kNoWire;
-    std::uint32_t mem = 0;
-    std::uint8_t addr_width = 0, mem_width = 0;
-    std::uint32_t scratch = 0;  ///< sampled addr + data words + 1 en_nz word
-  };
-
-  void build_lanes();
   void eval_op_sliced(const CombOp& op, std::uint64_t* out) const;
   void eval_op_fallback(const CombOp& op, std::uint64_t* out) const;
   /// Evaluates `op` and commits its output slices; returns true if any slice
   /// word changed.
   bool apply_op(const CombOp& op);
-  void mark_wire_changed(WireId wire);
-  void schedule_op(std::uint32_t op_index);
-  void schedule_fanout(WireId wire);
-
   [[nodiscard]] std::uint64_t input_word(const CombOp& op,
                                          std::size_t index, unsigned b) const;
-  [[nodiscard]] std::uint64_t extract_lane_raw(const std::uint64_t* words,
-                                               unsigned width,
-                                               unsigned lane) const;
 
-  Simulator base_;  ///< compiled tables + oracle-compatible schedule
+  const Module& module_;
+  Status status_;
+  std::shared_ptr<const CompiledNetlist> net_;
+  EventWorklist worklist_;
+  bool comb_dirty_ = false;
 
   // Slice storage: wire -> offset of wire_width words in slices_.
   std::vector<std::uint32_t> slice_off_;
@@ -143,18 +122,9 @@ class SlicedSimulator {
   std::vector<std::uint32_t> mem_off_;
   std::vector<std::uint64_t> mem_slices_;
 
-  std::vector<SlicedReg> regs_;
-  std::vector<SlicedRamRead> ram_reads_;
-  std::vector<SlicedRamWrite> ram_writes_;
-
-  // Event machinery private to this engine (the compiled CSR/levels are
-  // borrowed from base_).
-  std::vector<std::uint32_t> level_fill_;
-  std::vector<std::uint32_t> level_arena_;
-  std::vector<std::uint8_t> op_scheduled_;
-  bool comb_dirty_ = false;
-
   // Step scratch (hoisted): sampled sequential inputs, two-phase commit.
+  // Registers sample q' (q_width words each), RAM writes addr + data (at the
+  // memory width) + an enable word, RAM reads addr + an enable word.
   std::vector<std::uint64_t> seq_scratch_;
   std::uint64_t cycles_ = 0;
 };

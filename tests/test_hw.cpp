@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 
 #include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "hls/flow.hpp"
 #include "hw/netlist.hpp"
 #include "hw/sim.hpp"
+#include "hw/sim_sliced.hpp"
 #include "hw/vcd.hpp"
 #include "hw/verilog.hpp"
 
@@ -271,6 +273,28 @@ TEST(Sim, RunUntilTimesOut) {
   auto result = sim.run_until("done", 100);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kDeadlineExceeded);
+}
+
+TEST(Sim, UnknownPortIsACheckedError) {
+  // An unknown port name used to index the wire arrays with kNoWire.
+  Module m("ports");
+  const WireId done = m.make_const(1, 1, "done");
+  m.add_output(done, "done");
+  for (SimBackend backend :
+       {SimBackend::kEvent, SimBackend::kSweep, SimBackend::kJit}) {
+    Simulator sim(m, SimOptions{.backend = backend});
+    ASSERT_TRUE(sim.status().ok());
+    EXPECT_THROW((void)sim.get_output("missing"), std::out_of_range);
+    const auto result = sim.run_until("missing", 10);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), ErrorCode::kNotFound);
+    EXPECT_EQ(sim.cycles(), 0u);
+    EXPECT_EQ(sim.run_until("done", 10).value_or(99), 0u);
+  }
+  SlicedSimulator sliced(m);
+  ASSERT_TRUE(sliced.status().ok());
+  EXPECT_THROW((void)sliced.get_output_lane("missing", 0), std::out_of_range);
+  EXPECT_EQ(sliced.get_output_lane("done", 5), 1u);
 }
 
 TEST(Sim, CounterCircuit) {

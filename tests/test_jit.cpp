@@ -219,9 +219,9 @@ TEST_F(JitEnv, KernelStatsReflectLoweringWork) {
   Simulator sim(m, SimOptions{.backend = SimBackend::kJit});
   ASSERT_EQ(sim.active_backend(), SimBackend::kJit);
 
-  // Warm hit: the op-table view is not consulted on the hit path.
+  // Warm hit: the compiled netlist is not consulted on the hit path.
   const auto kernel =
-      jit::KernelCache::global().get_or_compile(m.digest(), OpTableView{});
+      jit::KernelCache::global().get_or_compile(m.digest(), CompiledNetlist{});
   ASSERT_NE(kernel, nullptr);
   const jit::JitKernelStats& stats = kernel->stats();
   EXPECT_GT(stats.code_bytes, 0u);
