@@ -47,6 +47,22 @@ class Parser {
   }
   [[nodiscard]] bool failed() const { return !error_.ok(); }
 
+  /// Restores the nesting depth on scope exit.
+  struct DepthScope {
+    explicit DepthScope(Parser& parser) : parser(parser), saved(parser.depth_) {}
+    ~DepthScope() { parser.depth_ = saved; }
+    Parser& parser;
+    std::size_t saved;
+  };
+  /// Enters one more nesting level. Past kMaxParseDepth the parse fails and
+  /// the caller returns at once, so no deeper tree is ever built.
+  bool descend() {
+    if (++depth_ <= kMaxParseDepth) return true;
+    fail(format("line %u: nesting deeper than %zu levels", peek().loc.line,
+                kMaxParseDepth));
+    return false;
+  }
+
   /// True if the current token begins a type name (keyword or typedef name).
   bool at_type(Type* out = nullptr) {
     Type type;
@@ -128,6 +144,8 @@ class Parser {
   }
 
   StmtPtr parse_statement() {
+    DepthScope scope(*this);
+    if (!descend()) return nullptr;
     if (check(TokKind::kLBrace)) return parse_block();
     if (check(TokKind::kKwIf)) return parse_if();
     if (check(TokKind::kKwWhile)) return parse_while();
@@ -280,6 +298,8 @@ class Parser {
     if (check(TokKind::kAssign) || check(TokKind::kPlusAssign) ||
         check(TokKind::kMinusAssign) || check(TokKind::kStarAssign)) {
       const TokKind op = advance().kind;
+      DepthScope scope(*this);  // a = b = ... nests to the right
+      if (!descend()) return lhs;
       ExprPtr rhs = parse_assignment();
       if (op != TokKind::kAssign) {
         // x op= y  ==>  x = x op y (target cloned structurally below)
@@ -374,7 +394,11 @@ class Parser {
     }
   }
 
+  /// Every expression, a parenthesised or indexing one included, reaches the
+  /// nesting bound through here.
   ExprPtr parse_ternary() {
+    DepthScope scope(*this);
+    if (!descend()) return std::make_unique<IntLitExpr>();
     ExprPtr cond = parse_logical_or();
     if (!match(TokKind::kQuestion)) return cond;
     auto expr = std::make_unique<TernaryExpr>();
@@ -411,6 +435,7 @@ class Parser {
     if (level >= kNumLevels) return parse_unary();
 
     ExprPtr lhs = parse_binary_level(level + 1);
+    DepthScope scope(*this);
     while (true) {
       const Level& spec = kLevels[level];
       int matched = -1;
@@ -420,7 +445,7 @@ class Parser {
           break;
         }
       }
-      if (matched < 0) return lhs;
+      if (matched < 0 || !descend()) return lhs;
       advance();
       auto expr = std::make_unique<BinaryExpr>();
       expr->loc = lhs->loc;
@@ -435,31 +460,37 @@ class Parser {
 
   ExprPtr parse_unary() {
     const SrcLoc loc = peek().loc;
+    // A prefix operator or a cast nests its operand one level deeper.
+    DepthScope scope(*this);
+    const auto operand = [this]() -> ExprPtr {
+      if (!descend()) return std::make_unique<IntLitExpr>();
+      return parse_unary();
+    };
     if (match(TokKind::kMinus)) {
       auto expr = std::make_unique<UnaryExpr>();
       expr->loc = loc;
       expr->op = UnaryOp::kNeg;
-      expr->operand = parse_unary();
+      expr->operand = operand();
       return expr;
     }
     if (match(TokKind::kBang)) {
       auto expr = std::make_unique<UnaryExpr>();
       expr->loc = loc;
       expr->op = UnaryOp::kNot;
-      expr->operand = parse_unary();
+      expr->operand = operand();
       return expr;
     }
     if (match(TokKind::kTilde)) {
       auto expr = std::make_unique<UnaryExpr>();
       expr->loc = loc;
       expr->op = UnaryOp::kBitNot;
-      expr->operand = parse_unary();
+      expr->operand = operand();
       return expr;
     }
     // Pre-increment/decrement: ++x / --x  =>  x = x +/- 1
     if (check(TokKind::kPlusPlus) || check(TokKind::kMinusMinus)) {
       const bool inc = advance().kind == TokKind::kPlusPlus;
-      ExprPtr target = parse_unary();
+      ExprPtr target = operand();
       return make_incdec(std::move(target), inc, loc);
     }
     // Cast: '(' typename ')' unary
@@ -476,7 +507,7 @@ class Parser {
         auto expr = std::make_unique<CastExpr>();
         expr->loc = loc;
         expr->target = type;
-        expr->operand = parse_unary();
+        expr->operand = operand();
         return expr;
       }
     }
@@ -501,8 +532,10 @@ class Parser {
 
   ExprPtr parse_postfix() {
     ExprPtr expr = parse_primary();
+    DepthScope scope(*this);  // each postfix ++/-- wraps the tree once more
     while (true) {
-      if (check(TokKind::kPlusPlus) || check(TokKind::kMinusMinus)) {
+      if ((check(TokKind::kPlusPlus) || check(TokKind::kMinusMinus)) &&
+          descend()) {
         const SrcLoc loc = peek().loc;
         const bool inc = advance().kind == TokKind::kPlusPlus;
         expr = make_incdec(std::move(expr), inc, loc);
@@ -570,6 +603,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< current nesting, bounded by kMaxParseDepth
   Status error_;
 };
 

@@ -14,6 +14,13 @@
 
 namespace hermes::fe {
 
+/// Deepest nesting fe::parse accepts. Each statement or block, each
+/// expression (parenthesised, an index, a ?: branch), each unary operator or
+/// cast, and each operator of an assignment, binary or postfix chain is one
+/// level deeper than what encloses it. The parser and the later passes
+/// recurse once per level, so deeper input is a kParseError.
+inline constexpr std::size_t kMaxParseDepth = 256;
+
 /// Parses a full translation unit.
 Result<Program> parse(std::string_view source);
 

@@ -1,6 +1,8 @@
 // Tests for the C-subset lexer, parser and type checker.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "frontend/lexer.hpp"
 #include "frontend/parser.hpp"
 #include "frontend/typecheck.hpp"
@@ -163,6 +165,69 @@ Status check(std::string_view source) {
   auto program = parse(source);
   if (!program.ok()) return program.status();
   return typecheck(program.value());
+}
+
+// ---- nesting bound ----
+
+std::string repeat(std::string_view text, std::size_t count) {
+  std::string out;
+  out.reserve(text.size() * count);
+  for (std::size_t i = 0; i < count; ++i) out += text;
+  return out;
+}
+
+// Kernels nesting exactly `depth` levels (see kMaxParseDepth). The function
+// body's `return` statement is level 1 and its expression level 2; the body
+// block itself is not a statement.
+std::string nested_parens(std::size_t depth) {
+  return "int f(int x) { return " + repeat("(", depth - 2) + "x" +
+         repeat(")", depth - 2) + "; }";
+}
+std::string nested_blocks(std::size_t depth) {
+  return "void f() {" + repeat("{", depth) + repeat("}", depth) + "}";
+}
+std::string operator_chain(std::size_t depth) {
+  return "int f(int x) { return x" + repeat("+x", depth - 2) + "; }";
+}
+std::string unary_chain(std::size_t depth) {
+  return "int f(int x) { return " + repeat("~", depth - 2) + "x; }";
+}
+
+void expect_too_deep(const std::string& source) {
+  const auto program = parse(source);
+  ASSERT_FALSE(program.ok());
+  EXPECT_EQ(program.status().code(), ErrorCode::kParseError);
+  EXPECT_NE(program.status().message().find(std::to_string(kMaxParseDepth)),
+            std::string::npos)
+      << program.status().message();
+}
+
+TEST(ParseDepth, HostileNestingIsAParseErrorNotACrash) {
+  // Each of these overflowed the stack before the bound: the parser on the
+  // first two, the type checker on the left-deep tree of the third.
+  expect_too_deep(nested_parens(100'000));
+  expect_too_deep(nested_blocks(100'000));
+  expect_too_deep("int f() { int x = 0; x = 1" + repeat("+1", 50'000) +
+                  "; return x; }");
+  expect_too_deep(unary_chain(100'000));
+  // A postfix chain is already an invalid assignment target at its second
+  // operator; the bound still keeps its tree shallow.
+  EXPECT_EQ(parse("int f(int x) { return x" + repeat("++", 100'000) + "; }")
+                .status()
+                .code(),
+            ErrorCode::kParseError);
+  expect_too_deep("int f(int x) { x" + repeat(" = x", 100'000) + "; return x; }");
+  expect_too_deep("int f(int x) { return " + repeat("x ? x : ", 100'000) +
+                  "x; }");
+}
+
+TEST(ParseDepth, ExactlyAtTheLimitCompilesOneMoreFails) {
+  for (const auto& shape :
+       {nested_parens, nested_blocks, operator_chain, unary_chain}) {
+    EXPECT_TRUE(check(shape(kMaxParseDepth)).ok())
+        << check(shape(kMaxParseDepth)).message();
+    expect_too_deep(shape(kMaxParseDepth + 1));
+  }
 }
 
 TEST(Typecheck, AcceptsValidProgram) {

@@ -322,6 +322,44 @@ TEST(Service, RequestWithoutSourceOrNetlistIsRejected) {
   EXPECT_EQ(service.stats().failed, 1u);
 }
 
+TEST(Service, HostileSourceFailsAloneWithParseError) {
+  // One tenant submits a kernel nested 100k parentheses deep among the other
+  // tenants' ordinary jobs. It must end as a typed parse error, and every
+  // other job must produce exactly what it produces without it.
+  ServiceOptions options = serial_options();
+  options.workers = 2;
+  const std::vector<CompileRequest> corpus =
+      corpus::mixed_corpus(6, 0xFACE, {"a", "b"});
+  CompileService clean_service(options);
+  const std::vector<CompileOutcome> clean = clean_service.run(corpus);
+
+  CompileRequest hostile;
+  hostile.tenant = "mallory";
+  hostile.flow.top = "f";
+  hostile.source = "int f(int x) { return " + std::string(100'000, '(') +
+                   "x" + std::string(100'000, ')') + "; }";
+  std::vector<CompileRequest> mixed = corpus;
+  mixed.insert(mixed.begin() + 3, hostile);
+  CompileService service(options);
+  const std::vector<CompileOutcome> outcomes = service.run(std::move(mixed));
+
+  ASSERT_EQ(outcomes.size(), corpus.size() + 1);
+  std::size_t next_clean = 0;
+  for (const CompileOutcome& outcome : outcomes) {
+    if (outcome.tenant == "mallory") {
+      EXPECT_EQ(outcome.status.code(), ErrorCode::kParseError)
+          << outcome.status.to_string();
+      continue;
+    }
+    const CompileOutcome& expected = clean[next_clean++];
+    ASSERT_TRUE(expected.status.ok()) << expected.status.to_string();
+    EXPECT_EQ(outcome.status.code(), expected.status.code());
+    EXPECT_EQ(outcome.fingerprint(), expected.fingerprint())
+        << "job of tenant " << outcome.tenant;
+  }
+  EXPECT_EQ(next_clean, clean.size());
+}
+
 TEST(Service, TenantStatsTrackSubmissionAndDispatch) {
   CompileService service(serial_options());
   std::vector<CompileRequest> requests;
