@@ -219,7 +219,8 @@ class Simulator {
   /// Builds the evaluation schedule. Fails on combinational loops.
   explicit Simulator(const Module& module, SimOptions options = {});
 
-  /// True if construction succeeded (no comb loop, valid netlist).
+  /// True if construction succeeded (no comb loop, valid netlist). Every
+  /// other member requires it.
   [[nodiscard]] const Status& status() const { return status_; }
 
   [[nodiscard]] const SimOptions& options() const { return options_; }

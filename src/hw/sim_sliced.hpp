@@ -43,7 +43,8 @@ class SlicedSimulator {
   /// Number of replica lanes evaluated per word op.
   static constexpr unsigned kLanes = 64;
 
-  /// Compiles the module (fails on the same conditions as hw::Simulator).
+  /// Compiles the module (fails on the same conditions as hw::Simulator;
+  /// every other member requires status().ok()).
   explicit SlicedSimulator(const Module& module);
 
   [[nodiscard]] const Status& status() const { return status_; }
